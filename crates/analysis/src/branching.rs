@@ -143,10 +143,13 @@ mod tests {
     #[test]
     fn supercritical_extinction_probability() {
         // Offspring: 0 w.p. 1/4, 2 w.p. 3/4 → extinction prob is the
-        // smallest root of s = 1/4 + 3/4 s², i.e. s = 1/3.
+        // smallest root of s = 1/4 + 3/4 s², i.e. s = 1/3. A lineage
+        // that grows past the cap of 64 goes extinct with probability at
+        // most (1/3)^65, so counting it as a survivor moves the
+        // estimate's expectation by less than that.
         let gw = GaltonWatson::new(vec![0.25, 0.0, 0.75]);
         let mut r = rng(2);
-        let p = gw.extinction_probability(20_000, 60, 1 << 16, &mut r);
+        let p = gw.extinction_probability(20_000, 60, 64, &mut r);
         assert!((p - 1.0 / 3.0).abs() < 0.02, "extinction prob {p}");
     }
 

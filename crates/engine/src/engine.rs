@@ -1,9 +1,8 @@
 //! The sharded engine: routing, batched ingestion, parallel application.
 
-use crate::channel;
 use crate::metrics::{EngineStats, ShardStats};
 use crate::op::{BatchSummary, Op};
-use crate::rounds::{tie_hash, Proposal, RoundReport, RoundsState, Winner};
+use crate::rounds::{tie_hash, Proposal, RoundReport, RoundsState};
 use crate::shard::Shard;
 use crate::sink::{MetricRecord, MetricsSink};
 use crate::spsc;
@@ -11,6 +10,7 @@ use ba_core::TieBreak;
 use ba_hash::{AnyScheme, ChoiceScheme};
 use ba_rng::RngKind;
 use std::fmt;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// How shards obtain each ball's choice vector.
@@ -88,13 +88,12 @@ pub enum IngestMode {
 /// How batches are applied across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkerMode {
-    /// Apply shard by shard on the calling thread.
+    /// Apply shard by shard on the calling thread — the oracle every
+    /// parallel path is checked against.
     Sequential,
-    /// Spawn scoped threads per batch — the pre-worker-pool baseline,
-    /// kept so `engine_throughput` can benchmark the pool against it.
-    Scoped,
-    /// Long-lived channel-fed worker threads, one per shard, spawned on
-    /// the first parallel batch and joined when the engine drops.
+    /// Long-lived worker threads, one per shard, spawned on the first
+    /// parallel batch and joined when the engine drops. Each batch ships
+    /// every shard with work to its own thread and waits for all of them.
     #[default]
     Persistent,
 }
@@ -334,193 +333,46 @@ struct Batch {
     ops: Vec<Op>,
 }
 
-/// One unit of work for a persistent shard worker. The shard travels
-/// *by value* through the channel — a shallow move of the struct, not a
-/// deep copy of its bin table and key index — so between jobs the engine
-/// keeps full ownership (and `&`-access) to every shard.
-enum Job<S> {
-    /// Phased mode: apply one pre-partitioned batch and report back. The
-    /// op buffer rides home with the result so the engine reuses it for
-    /// the next batch instead of reallocating.
-    Batch {
-        /// The worker's shard, shipped for the duration of the batch.
-        shard: Shard<S>,
-        /// This shard's slice of the batch, in arrival order.
-        ops: Vec<Op>,
-    },
-    /// Pipelined mode: own the shard for a whole ingestion stream,
-    /// applying batches as the producers ship them into this shard's
-    /// SPSC rings, until every producer disconnects. Drained op buffers
-    /// return through `recycle` so producers refill them instead of
-    /// allocating fresh ones.
-    Stream {
-        /// The worker's shard, shipped for the duration of the stream.
-        shard: Shard<S>,
-        /// One bounded SPSC ring per producer; the worker merges them in
-        /// deterministic (producer, seq) round-robin order. Disconnect of
-        /// the ring whose turn it is ends the stream.
-        batches: Vec<spsc::RingConsumer<Batch>>,
-        /// Return paths for drained op buffers, indexed like `batches`
-        /// (each buffer goes home to the producer that filled it).
-        recycle: Vec<channel::Sender<Vec<Op>>>,
-        /// Whether to time each batch apply for metrics (set only when a
-        /// sink is attached, so untracked streams pay nothing).
-        track: bool,
-    },
-    /// Rounds mode: resolve one synchronized round's proposals against
-    /// this shard's bins (see [`crate::rounds`]) and report the winners.
-    Resolve {
-        /// The worker's shard, shipped for the duration of the round.
-        shard: Shard<S>,
-        /// This shard's slice of the round's proposals (bins are
-        /// shard-local).
-        proposals: Vec<Proposal>,
-        /// The round's load threshold: bins accept while below it.
-        threshold: u32,
-    },
-}
+/// Work for one pool thread: a closure that owns everything it touches
+/// — a shard shipped *by value* (a shallow move of the struct, not a
+/// deep copy of its bin table and key index), that shard's input, and a
+/// reply sender — so between calls the engine keeps full ownership (and
+/// `&`-access) to every shard.
+type Task = Box<dyn FnOnce() + Send>;
 
-/// What a worker reports after finishing a job: the shard (returned to
-/// its slot), the summary of everything applied, the drained op buffer
-/// for reuse (batch jobs; stream jobs recycle buffers through their own
-/// channel and return an empty placeholder), and — for tracked stream
-/// jobs — the per-batch apply latencies, in batch arrival order, that
-/// the engine joins with its producer-side ship records.
-struct JobDone<S> {
-    shard: Shard<S>,
-    summary: BatchSummary,
-    buffer: Vec<Op>,
-    applies: Vec<Duration>,
-    /// Accepted proposals of a [`Job::Resolve`] round; empty for
-    /// batch/stream jobs.
-    winners: Vec<Winner>,
-}
-
-/// The persistent worker pool: one long-lived thread per shard, fed
-/// through a per-worker job channel and reporting through a per-worker
-/// results channel. Per-worker result channels (rather than one shared
-/// queue) make worker death observable: a panicking worker drops its
-/// sender, so the engine's `recv` on that worker's channel errors out
-/// instead of blocking forever. Dropping the pool closes the job channels
-/// (each worker's `recv` then errors out and the thread exits) and joins
-/// every handle — graceful shutdown without flags or timeouts.
-struct WorkerPool<S> {
-    jobs: Vec<channel::Sender<Job<S>>>,
-    results: Vec<channel::Receiver<JobDone<S>>>,
+/// The persistent worker pool: one long-lived thread per shard, each
+/// running the [`Task`]s sent down its own queue (see
+/// [`Engine::on_shards`]). A task that panics ends its thread; the
+/// engine sees that as a reply that never comes, or — on a later call —
+/// as a queue that refuses the next task. Dropping the pool closes every
+/// queue (each thread's `recv` then errors and the thread exits) and
+/// joins every handle: graceful shutdown without flags or timeouts.
+struct WorkerPool {
+    queues: Vec<mpsc::Sender<Task>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl<S: ChoiceScheme + 'static> WorkerPool<S> {
+impl WorkerPool {
     fn spawn(shards: usize) -> Self {
-        let mut jobs = Vec::with_capacity(shards);
-        let mut results = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let (tx, rx) = channel::channel::<Job<S>>();
-            let (results_tx, results_rx) = channel::channel();
-            let handle = std::thread::Builder::new()
-                .name(format!("ba-shard-{id}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let result = match job {
-                            Job::Batch { mut shard, ops } => {
-                                let summary = shard.apply(&ops);
-                                JobDone {
-                                    shard,
-                                    summary,
-                                    buffer: ops,
-                                    applies: Vec::new(),
-                                    winners: Vec::new(),
-                                }
-                            }
-                            Job::Resolve {
-                                mut shard,
-                                proposals,
-                                threshold,
-                            } => {
-                                let winners = shard.rounds_resolve(proposals, threshold);
-                                JobDone {
-                                    shard,
-                                    summary: BatchSummary::default(),
-                                    buffer: Vec::new(),
-                                    applies: Vec::new(),
-                                    winners,
-                                }
-                            }
-                            Job::Stream {
-                                mut shard,
-                                batches,
-                                recycle,
-                                track,
-                            } => {
-                                let mut summary = BatchSummary::default();
-                                let mut applies = Vec::new();
-                                let producers = batches.len();
-                                // Deterministic cross-producer merge: chunk
-                                // `k` of the stream was routed by producer
-                                // `k % producers` and shipped with `seq = k`
-                                // (producers ship one batch per chunk per
-                                // shard, empty ones included), so receiving
-                                // in strict round-robin replays this shard's
-                                // ops in stream order. A disconnect at the
-                                // ring whose turn it is proves no later
-                                // chunk exists anywhere — producers ship
-                                // their chunks in order before exiting — so
-                                // the whole stream has drained.
-                                let mut chunk = 0usize;
-                                loop {
-                                    let p = chunk % producers;
-                                    let Ok(Batch { seq, mut ops }) = batches[p].recv() else {
-                                        break;
-                                    };
-                                    debug_assert_eq!(
-                                        seq as usize, chunk,
-                                        "cross-producer merge out of order"
-                                    );
-                                    if track {
-                                        let t0 = Instant::now();
-                                        summary.absorb(&shard.apply(&ops));
-                                        applies.push(t0.elapsed());
-                                    } else {
-                                        summary.absorb(&shard.apply(&ops));
-                                    }
-                                    ops.clear();
-                                    // A recycle error means the producer is
-                                    // gone (it panicked); keep draining so
-                                    // the stream still ends cleanly.
-                                    let _ = recycle[p].send(ops);
-                                    chunk += 1;
-                                }
-                                JobDone {
-                                    shard,
-                                    summary,
-                                    buffer: Vec::new(),
-                                    applies,
-                                    winners: Vec::new(),
-                                }
-                            }
-                        };
-                        // A send error means the engine is gone mid-job
-                        // (it panicked); nothing left to report to.
-                        if results_tx.send(result).is_err() {
-                            break;
+        let (queues, handles) = (0..shards)
+            .map(|id| {
+                let (tx, rx) = mpsc::channel::<Task>();
+                let handle = std::thread::Builder::new()
+                    .name(format!("ba-shard-{id}"))
+                    .spawn(move || {
+                        while let Ok(task) = rx.recv() {
+                            task();
                         }
-                    }
-                })
-                .expect("spawn shard worker thread");
-            jobs.push(tx);
-            results.push(results_rx);
-            handles.push(handle);
-        }
-        Self {
-            jobs,
-            results,
-            handles,
-        }
+                    })
+                    .expect("spawn shard worker thread");
+                (tx, handle)
+            })
+            .unzip();
+        Self { queues, handles }
     }
 }
 
-impl<S> fmt::Debug for WorkerPool<S> {
+impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.handles.len())
@@ -528,14 +380,60 @@ impl<S> fmt::Debug for WorkerPool<S> {
     }
 }
 
-impl<S> Drop for WorkerPool<S> {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Disconnect every job channel; workers drain and exit.
-        self.jobs.clear();
+        // Disconnect every queue; workers finish their task and exit.
+        self.queues.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
+}
+
+/// A shard worker's side of a pipelined stream: apply batches as the
+/// producers ship them into this shard's SPSC rings (one per producer)
+/// until the stream ends, returning each drained op buffer through
+/// `recycle` to the producer that filled it. Returns the stream's
+/// summary and — when `track` is set, i.e. a sink is attached — each
+/// batch's apply latency in receive order, which the engine joins with
+/// the producer-side ship records.
+fn drain_stream<S: ChoiceScheme>(
+    shard: &mut Shard<S>,
+    batches: &[spsc::RingConsumer<Batch>],
+    recycle: &[mpsc::Sender<Vec<Op>>],
+    track: bool,
+) -> (BatchSummary, Vec<Duration>) {
+    let mut summary = BatchSummary::default();
+    let mut applies = Vec::new();
+    // Deterministic cross-producer merge: chunk `k` of the stream was
+    // routed by producer `k % producers` and shipped with `seq = k`
+    // (producers ship one batch per chunk per shard, empty ones
+    // included), so receiving in strict round-robin replays this shard's
+    // ops in stream order. A disconnect at the ring whose turn it is
+    // proves no later chunk exists anywhere — producers ship their
+    // chunks in order before exiting — so the whole stream has drained.
+    // With one producer, `seq` is the per-shard ship index instead.
+    let mut chunk = 0usize;
+    loop {
+        let p = chunk % batches.len();
+        let Ok(Batch { seq, mut ops }) = batches[p].recv() else {
+            break;
+        };
+        debug_assert_eq!(seq as usize, chunk, "cross-producer merge out of order");
+        if track {
+            let t0 = Instant::now();
+            summary.absorb(&shard.apply(&ops));
+            applies.push(t0.elapsed());
+        } else {
+            summary.absorb(&shard.apply(&ops));
+        }
+        ops.clear();
+        // A recycle error means the producer is gone (it panicked);
+        // keep draining so the stream still ends cleanly.
+        let _ = recycle[p].send(ops);
+        chunk += 1;
+    }
+    (summary, applies)
 }
 
 /// A sharded, concurrently-served balanced-allocation engine.
@@ -545,8 +443,8 @@ impl<S> Drop for WorkerPool<S> {
 /// [`ChoiceScheme`] — drawn from the shard's private RNG stream
 /// ([`ChoiceMode::Stream`]) or derived from each key
 /// ([`ChoiceMode::Keyed`]). Batches of [`Op`]s are partitioned by
-/// [`route`] and applied to all shards — by persistent channel-fed worker
-/// threads under [`WorkerMode::Persistent`] — and each shard's outcome
+/// [`route`] and applied to all shards — by one long-lived worker thread
+/// per shard under [`WorkerMode::Persistent`] — and each shard's outcome
 /// depends only on its own ordered op subsequence, so the engine's final
 /// state is bit-identical between sequential and parallel application and
 /// across any number of worker threads.
@@ -555,13 +453,12 @@ pub struct Engine<S> {
     /// `None` only transiently while a shard is out with a worker during
     /// a persistent parallel batch; always `Some` between public calls.
     shards: Vec<Option<Shard<S>>>,
-    pool: Option<WorkerPool<S>>,
+    pool: Option<WorkerPool>,
     /// Per-shard partition buffers, reused across batches so the hot path
     /// never allocates a fresh `Vec<Vec<Op>>`. Under persistent workers
-    /// the buffers travel to the workers with each batch job and ride
-    /// home with the results — double-buffered in the sense that the
-    /// engine and the workers alternate ownership without either side
-    /// ever reallocating.
+    /// the buffers travel to the workers with their shard and ride home
+    /// with the replies — the engine and the workers alternate ownership
+    /// without either side ever reallocating.
     scratch: Vec<Vec<Op>>,
     /// Reusable chunking buffer for [`Engine::serve_replay`], kept across
     /// calls so repeated serving allocates nothing after warm-up.
@@ -640,25 +537,24 @@ struct PendingShip {
 
 /// What one producer thread hands back after its slice of the stream is
 /// routed and shipped: its ship-side metric halves, its recycle receiver
-/// (drained into the engine's spare pool after the workers finish), its
-/// leftover buffers, and — if a ring send failed — the shard whose
-/// worker died, so the engine can surface that worker's panic.
+/// (drained into the engine's spare pool after the workers finish), and
+/// its leftover buffers.
 struct ProducerReport {
     pending: Vec<PendingShip>,
-    recycle: channel::Receiver<Vec<Op>>,
+    recycle: mpsc::Receiver<Vec<Op>>,
     spare: Vec<Vec<Op>>,
-    dead_shard: Option<usize>,
 }
 
 /// Grabs a cleared op buffer: recycled from a worker if one is waiting,
 /// a retained spare otherwise, a fresh allocation only during warm-up.
 fn grab_buffer(
     spare: &mut Vec<Vec<Op>>,
-    recycle: &channel::Receiver<Vec<Op>>,
+    recycle: &mpsc::Receiver<Vec<Op>>,
     batch_size: usize,
 ) -> Vec<Op> {
     let mut buf = recycle
         .try_recv()
+        .ok()
         .or_else(|| spare.pop())
         .unwrap_or_default();
     buf.clear();
@@ -676,9 +572,9 @@ fn grab_buffer(
 fn producer_stage(
     producer: u32,
     rings: Vec<spsc::RingProducer<Batch>>,
-    recycle: channel::Receiver<Vec<Op>>,
-    chunks: channel::Receiver<(u64, Vec<Op>)>,
-    chunks_back: channel::Sender<Vec<Op>>,
+    recycle: mpsc::Receiver<Vec<Op>>,
+    chunks: mpsc::Receiver<(u64, Vec<Op>)>,
+    chunks_back: mpsc::Sender<Vec<Op>>,
     batch_size: usize,
     started: Instant,
     track: bool,
@@ -689,7 +585,7 @@ fn producer_stage(
     let mut filling: Vec<Vec<Op>> = (0..shards)
         .map(|_| grab_buffer(&mut spare, &recycle, batch_size))
         .collect();
-    while let Ok((chunk, mut buf)) = chunks.recv() {
+    'stream: while let Ok((chunk, mut buf)) = chunks.recv() {
         let route_t0 = track.then(Instant::now);
         let chunk_ops = buf.len();
         for &op in &buf {
@@ -706,34 +602,18 @@ fn producer_stage(
                 grab_buffer(&mut spare, &recycle, batch_size),
             );
             let batch_ops = full.len();
-            if !track {
-                if ring
-                    .send(Batch {
-                        seq: chunk,
-                        ops: full,
-                    })
-                    .is_err()
-                {
-                    return ProducerReport {
-                        pending,
-                        recycle,
-                        spare,
-                        dead_shard: Some(s),
-                    };
-                }
-                continue;
-            }
-            let (inserts, deletes, lookups) = op_mix(&full);
+            let mix = track.then(|| op_mix(&full));
             let Ok(stalled) = ring.send_tracked(Batch {
                 seq: chunk,
                 ops: full,
             }) else {
-                return ProducerReport {
-                    pending,
-                    recycle,
-                    spare,
-                    dead_shard: Some(s),
-                };
+                // The shard's worker died. Stop routing: dropping this
+                // producer's chunk receiver stops the distribution stage,
+                // and the engine's reply collection names the dead shard.
+                break 'stream;
+            };
+            let Some((inserts, deletes, lookups)) = mix else {
+                continue;
             };
             let routed = if chunk_ops > 0 {
                 routed_chunk.mul_f64(batch_ops as f64 / chunk_ops as f64)
@@ -758,13 +638,14 @@ fn producer_stage(
     }
     // Chunk distribution disconnected: the stream is over. Every chunk
     // shipped in full, so the filling buffers are all empty — keep their
-    // capacity. Dropping `rings` (by returning) disconnects the workers.
+    // capacity. (After a dead worker they may not be, but then the engine
+    // panics before it reuses any.) Dropping `rings` (by returning)
+    // disconnects the workers.
     spare.extend(filling);
     ProducerReport {
         pending,
         recycle,
         spare,
-        dead_shard: None,
     }
 }
 
@@ -976,80 +857,109 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         if let IngestMode::Rounds { producers } = self.config.ingest {
             return self.apply_batch_rounds(ops, producers);
         }
-        let mut total = BatchSummary::default();
         if self.shards.len() == 1 {
             // One shard: everything routes to it — apply the batch slice
             // directly, no partition pass at all.
-            let shard = self.shards[0]
-                .as_mut()
-                .expect("shard present between batches");
-            return shard.apply(ops);
+            return self.shard_slot(0).apply(ops);
         }
         self.partition_into_scratch(ops);
-        match self.config.workers {
-            WorkerMode::Sequential => {
-                for (slot, ops) in self.shards.iter_mut().zip(self.scratch.iter()) {
-                    if ops.is_empty() {
-                        continue;
-                    }
-                    let shard = slot.as_mut().expect("shard present between batches");
-                    total.absorb(&shard.apply(ops));
-                }
-            }
-            WorkerMode::Scoped => {
-                let scratch = &self.scratch;
-                let summaries = std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(scratch.iter())
-                        .filter(|(_, ops)| !ops.is_empty())
-                        .map(|(slot, ops)| {
-                            let shard = slot.as_mut().expect("shard present between batches");
-                            scope.spawn(move || shard.apply(ops))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect::<Vec<_>>()
-                });
-                for summary in &summaries {
-                    total.absorb(summary);
-                }
-            }
-            WorkerMode::Persistent => {
-                let pool = self
-                    .pool
-                    .get_or_insert_with(|| WorkerPool::spawn(self.shards.len()));
-                for id in 0..self.shards.len() {
-                    if self.scratch[id].is_empty() {
-                        continue;
-                    }
-                    let shard = self.shards[id]
-                        .take()
-                        .expect("shard present between batches");
-                    let ops = std::mem::take(&mut self.scratch[id]);
-                    if pool.jobs[id].send(Job::Batch { shard, ops }).is_err() {
-                        panic!("shard worker {id} exited early");
-                    }
-                }
-                for id in 0..self.shards.len() {
-                    if self.shards[id].is_some() {
-                        continue; // shard never left: empty slice this batch
-                    }
-                    // A recv error means the worker dropped its sender
-                    // without replying — it panicked mid-apply.
-                    let done = pool.results[id]
-                        .recv()
-                        .unwrap_or_else(|_| panic!("shard worker {id} panicked"));
-                    self.shards[id] = Some(done.shard);
-                    self.scratch[id] = done.buffer;
-                    total.absorb(&done.summary);
-                }
-            }
+        let work: Vec<(usize, Vec<Op>)> = self
+            .scratch
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, buf)| !buf.is_empty())
+            .map(|(id, buf)| (id, std::mem::take(buf)))
+            .collect();
+        // Each partition buffer rides home with its shard's reply and
+        // goes back into `scratch`, capacity intact.
+        let (replies, ()) = self.on_shards(
+            self.config.workers,
+            work,
+            |shard, ops| (shard.apply(&ops), ops),
+            || (),
+        );
+        let mut total = BatchSummary::default();
+        for (id, (summary, buf)) in replies {
+            total.absorb(&summary);
+            self.scratch[id] = buf;
         }
         total
+    }
+
+    /// Runs `work(shard, input)` for every `(id, input)` in `inputs` — the
+    /// one dispatch behind phased batches, rounds and pipelined streams —
+    /// and returns the `(id, output)` pairs, in no particular order,
+    /// together with what `meanwhile` returned.
+    ///
+    /// Under [`WorkerMode::Sequential`] the work runs shard by shard on
+    /// the calling thread, then `meanwhile` runs. Under
+    /// [`WorkerMode::Persistent`] each listed shard travels by value to
+    /// pool worker `id` (spawning the pool on first use), `meanwhile` runs
+    /// on the calling thread while the workers do, and every worker
+    /// replies `(id, shard, output)` on one channel, which puts the shard
+    /// back in its slot. A worker that panics drops its reply sender
+    /// unsent, so collection ends with a panic naming that shard rather
+    /// than waiting forever.
+    fn on_shards<I, O, R>(
+        &mut self,
+        workers: WorkerMode,
+        inputs: Vec<(usize, I)>,
+        work: impl Fn(&mut Shard<S>, I) -> O + Copy + Send + 'static,
+        meanwhile: impl FnOnce() -> R,
+    ) -> (Vec<(usize, O)>, R)
+    where
+        I: Send + 'static,
+        O: Send + 'static,
+    {
+        if workers == WorkerMode::Sequential {
+            let outputs = inputs
+                .into_iter()
+                .map(|(id, input)| (id, work(self.shard_slot(id), input)))
+                .collect();
+            return (outputs, meanwhile());
+        }
+        let shards = self.shards.len();
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
+        // One slot per task: no reply ever blocks, and the channel
+        // allocates exactly the slots it needs (an unbounded channel
+        // allocates a block of many reply slots per call, which
+        // measurably slowed small batches).
+        let sent = inputs.len();
+        let (reply_tx, replies) = mpsc::sync_channel(sent);
+        for (id, input) in inputs {
+            let mut shard = self.shards[id]
+                .take()
+                .expect("shard present between batches");
+            let reply = reply_tx.clone();
+            let task: Task = Box::new(move || {
+                let output = work(&mut shard, input);
+                // A send error means the engine is gone (it panicked);
+                // nothing is left to report to.
+                let _ = reply.send((id, shard, output));
+            });
+            if pool.queues[id].send(task).is_err() {
+                panic!("shard worker {id} exited early");
+            }
+        }
+        drop(reply_tx);
+        let during = meanwhile();
+        // Take exactly one reply per task rather than waiting for the
+        // channel to disconnect, which would also wait for each worker
+        // to drop its sender after replying. `recv` errors early only if
+        // a task died: each holds one sender clone, and the original was
+        // dropped above.
+        let mut outputs = Vec::with_capacity(sent);
+        while outputs.len() < sent {
+            let Ok((id, shard, output)) = replies.recv() else {
+                break;
+            };
+            self.shards[id] = Some(shard);
+            outputs.push((id, output));
+        }
+        if let Some(id) = self.shards.iter().position(Option::is_none) {
+            panic!("shard worker {id} panicked");
+        }
+        (outputs, during)
     }
 
     /// Drains the accumulated [`RoundReport`] (rounds taken,
@@ -1211,9 +1121,23 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
                     probe: cursor[b],
                 });
             }
-            let winners = self.resolve_round(&mut proposals, threshold);
+            // Resolve the round on every proposed-to shard. The outcome
+            // is mode-independent: a bin's acceptances depend only on its
+            // own proposals and the threshold.
+            let work = proposals
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, props)| !props.is_empty())
+                .map(|(id, props)| (id, std::mem::take(props)))
+                .collect();
+            let (winners, ()) = self.on_shards(
+                self.config.workers,
+                work,
+                move |shard, props| shard.rounds_resolve(props, threshold),
+                || (),
+            );
             let mut placed_now = 0u64;
-            for (shard_id, accepted) in winners.iter().enumerate() {
+            for (shard_id, accepted) in winners {
                 for w in accepted {
                     placed[w.ball as usize] = true;
                     placed_bins[w.ball as usize] = shard_id as u64 * bins_per_shard + w.bin;
@@ -1260,87 +1184,6 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         st.report.max_load = st.report.max_load.max(self.max_load());
         self.rounds = Some(st);
         summary
-    }
-
-    /// Resolves one synchronized round across the shards, dispatching on
-    /// the configured [`WorkerMode`] exactly like phased batches:
-    /// inline, scoped threads, or the persistent pool via
-    /// [`Job::Resolve`]. Returns each shard's accepted proposals,
-    /// indexed by shard id. The outcome is mode-independent: a bin's
-    /// acceptances depend only on its own proposals and threshold.
-    fn resolve_round(
-        &mut self,
-        proposals: &mut [Vec<Proposal>],
-        threshold: u32,
-    ) -> Vec<Vec<Winner>> {
-        let shards = self.shards.len();
-        match self.config.workers {
-            WorkerMode::Sequential => self
-                .shards
-                .iter_mut()
-                .zip(proposals.iter_mut())
-                .map(|(slot, props)| {
-                    if props.is_empty() {
-                        return Vec::new();
-                    }
-                    let shard = slot.as_mut().expect("shard present between batches");
-                    shard.rounds_resolve(std::mem::take(props), threshold)
-                })
-                .collect(),
-            WorkerMode::Scoped => std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(proposals.iter_mut())
-                    .map(|(slot, props)| {
-                        if props.is_empty() {
-                            return None;
-                        }
-                        let shard = slot.as_mut().expect("shard present between batches");
-                        let props = std::mem::take(props);
-                        Some(scope.spawn(move || shard.rounds_resolve(props, threshold)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| match handle {
-                        Some(handle) => handle.join().expect("shard worker panicked"),
-                        None => Vec::new(),
-                    })
-                    .collect()
-            }),
-            WorkerMode::Persistent => {
-                let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
-                for (id, props) in proposals.iter_mut().enumerate() {
-                    if props.is_empty() {
-                        continue;
-                    }
-                    let shard = self.shards[id]
-                        .take()
-                        .expect("shard present between batches");
-                    let job = Job::Resolve {
-                        shard,
-                        proposals: std::mem::take(props),
-                        threshold,
-                    };
-                    if pool.jobs[id].send(job).is_err() {
-                        panic!("shard worker {id} exited early");
-                    }
-                }
-                let mut winners: Vec<Vec<Winner>> = (0..shards).map(|_| Vec::new()).collect();
-                for (id, slot) in winners.iter_mut().enumerate() {
-                    if self.shards[id].is_some() {
-                        continue; // no proposals reached this shard
-                    }
-                    let done = pool.results[id]
-                        .recv()
-                        .unwrap_or_else(|_| panic!("shard worker {id} panicked"));
-                    self.shards[id] = Some(done.shard);
-                    *slot = done.winners;
-                }
-                winners
-            }
-        }
     }
 
     /// Applies a long op stream in `batch_size` chunks; returns the overall
@@ -1525,126 +1368,107 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     ) -> BatchSummary {
         let shards = self.shards.len();
         let track = self.sink.is_some();
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
-        // Stage 0: ship every shard to its worker with a fresh SPSC
-        // batch ring and a recycle channel for drained buffers.
+        let started = self.started;
+        // Every shard gets a fresh SPSC batch ring and a recycle channel
+        // for drained buffers.
         let mut batches = Vec::with_capacity(shards);
         let mut recycled = Vec::with_capacity(shards);
-        for (id, slot) in self.shards.iter_mut().enumerate() {
+        let mut streams = Vec::with_capacity(shards);
+        for id in 0..shards {
             let (batch_tx, batch_rx) = spsc::ring::<Batch>(queue_depth);
-            let (recycle_tx, recycle_rx) = channel::channel();
-            let shard = slot.take().expect("shard present between batches");
-            let job = Job::Stream {
-                shard,
-                batches: vec![batch_rx],
-                recycle: vec![recycle_tx],
-                track,
-            };
-            if pool.jobs[id].send(job).is_err() {
-                panic!("shard worker {id} exited early");
-            }
+            let (recycle_tx, recycle_rx) = mpsc::channel();
             batches.push(batch_tx);
             recycled.push(recycle_rx);
+            streams.push((id, (vec![batch_rx], vec![recycle_tx])));
         }
-        // Producer-side measurement: one PendingShip per shipped batch,
-        // joined with its worker-side apply latency after the drain.
-        let started = self.started;
-        let mut pending: Vec<PendingShip> = Vec::new();
-        let mut shipped = vec![0u64; shards];
-        let mut ship = |id: usize, full: Vec<Op>, batches: &[spsc::RingProducer<Batch>]| {
-            let seq = shipped[id];
-            shipped[id] += 1;
-            if !track {
-                return batches[id].send(Batch { seq, ops: full }).is_ok();
-            }
-            let (inserts, deletes, lookups) = op_mix(&full);
-            let ops = full.len() as u32;
-            let Ok(stalled) = batches[id].send_tracked(Batch { seq, ops: full }) else {
-                return false;
-            };
-            pending.push(PendingShip {
-                at: started.elapsed(),
-                shard: id,
-                chunk: seq,
-                producer: 0,
-                // Routing is interleaved op-by-op with stream pull on
-                // this path, not a separable stage; reported as zero
-                // rather than a made-up split.
-                routed: Duration::ZERO,
-                ops,
-                inserts,
-                deletes,
-                lookups,
-                stalls: u32::from(stalled > Duration::ZERO),
-                stalled,
-                occupancy: batches[id].queued() as u32,
-            });
-            true
-        };
-        // Producer stage: route ops into per-shard filling buffers; a
-        // full buffer ships into the bounded ring (blocking only when
-        // the worker is queue_depth batches behind) and is replaced by a
-        // recycled buffer the worker already drained, a spare from a
-        // previous call, or — only while the pipeline warms up — a fresh
-        // allocation. Past warm-up this loop allocates nothing, across
-        // calls included.
         let mut spare = std::mem::take(&mut self.spare_buffers);
-        let grab = |spare: &mut Vec<Vec<Op>>| {
-            spare
-                .pop()
-                .map(|mut buf| {
-                    buf.reserve(batch_size);
-                    buf
-                })
-                .unwrap_or_else(|| Vec::with_capacity(batch_size))
-        };
-        let mut filling: Vec<Vec<Op>> = (0..shards).map(|_| grab(&mut spare)).collect();
-        for op in ops {
-            let id = route(op.key(), shards);
-            filling[id].push(op);
-            if filling[id].len() == batch_size {
-                let full = std::mem::take(&mut filling[id]);
-                if !ship(id, full, &batches) {
+        // The producer stage, run on this thread while the workers drain.
+        let produce = || {
+            // Producer-side measurement: one PendingShip per shipped
+            // batch, joined with its worker-side apply latency after the
+            // drain.
+            let mut pending: Vec<PendingShip> = Vec::new();
+            let mut shipped = vec![0u64; shards];
+            let mut ship = |id: usize, full: Vec<Op>| {
+                let seq = shipped[id];
+                shipped[id] += 1;
+                let mix = track.then(|| op_mix(&full));
+                let ops = full.len() as u32;
+                let Ok(stalled) = batches[id].send_tracked(Batch { seq, ops: full }) else {
                     panic!("shard worker {id} panicked");
+                };
+                let Some((inserts, deletes, lookups)) = mix else {
+                    return;
+                };
+                pending.push(PendingShip {
+                    at: started.elapsed(),
+                    shard: id,
+                    chunk: seq,
+                    producer: 0,
+                    // Routing is interleaved op-by-op with stream pull on
+                    // this path, not a separable stage; reported as zero
+                    // rather than a made-up split.
+                    routed: Duration::ZERO,
+                    ops,
+                    inserts,
+                    deletes,
+                    lookups,
+                    stalls: u32::from(stalled > Duration::ZERO),
+                    stalled,
+                    occupancy: batches[id].queued() as u32,
+                });
+            };
+            // Route ops into per-shard filling buffers; a full buffer
+            // ships into the bounded ring (blocking only when the worker
+            // is queue_depth batches behind) and is replaced by a
+            // recycled buffer the worker already drained, a spare from a
+            // previous call, or — only while the pipeline warms up — a
+            // fresh allocation. Past warm-up this loop allocates nothing,
+            // across calls included.
+            let grab = |spare: &mut Vec<Vec<Op>>| {
+                spare
+                    .pop()
+                    .map(|mut buf| {
+                        buf.reserve(batch_size);
+                        buf
+                    })
+                    .unwrap_or_else(|| Vec::with_capacity(batch_size))
+            };
+            let mut filling: Vec<Vec<Op>> = (0..shards).map(|_| grab(&mut spare)).collect();
+            for op in ops {
+                let id = route(op.key(), shards);
+                filling[id].push(op);
+                if filling[id].len() == batch_size {
+                    ship(id, std::mem::take(&mut filling[id]));
+                    filling[id] = recycled[id].try_recv().unwrap_or_else(|_| grab(&mut spare));
                 }
-                filling[id] = recycled[id].try_recv().unwrap_or_else(|| grab(&mut spare));
             }
-        }
-        for (id, buf) in filling.into_iter().enumerate() {
-            if buf.is_empty() {
-                spare.push(buf); // keep the capacity for the next call
-            } else if !ship(id, buf, &batches) {
-                panic!("shard worker {id} panicked");
+            for (id, buf) in filling.into_iter().enumerate() {
+                if buf.is_empty() {
+                    spare.push(buf); // keep the capacity for the next call
+                } else {
+                    ship(id, buf);
+                }
             }
-        }
-        // `ship` borrowed `pending` mutably; past this point only the
-        // closure-free join below touches it.
-        #[allow(clippy::drop_non_drop)]
-        drop(ship);
-        // Disconnect the batch rings: each worker drains what is queued,
-        // then reports its shard and stream summary.
-        drop(batches);
-        let mut total = BatchSummary::default();
-        let mut applies: Vec<Vec<Duration>> = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let done = pool.results[id]
-                .recv()
-                .unwrap_or_else(|_| panic!("shard worker {id} panicked"));
-            self.shards[id] = Some(done.shard);
-            total.absorb(&done.summary);
-            applies.push(done.applies);
-        }
+            // Disconnect the batch rings: each worker drains what is
+            // queued, then replies with its shard and stream summary.
+            drop(batches);
+            pending
+        };
+        let (replies, pending) = self.on_shards(
+            WorkerMode::Persistent,
+            streams,
+            move |shard, (rings, recycle)| drain_stream(shard, &rings, &recycle, track),
+            produce,
+        );
         // Reclaim every buffer the workers drained after the producer
         // stopped picking them up; the next serve_pipelined call starts
         // from this pool instead of the allocator.
         for rx in &recycled {
-            while let Some(buf) = rx.try_recv() {
-                spare.push(buf);
-            }
+            spare.extend(rx.try_iter());
         }
         self.spare_buffers = spare;
-        self.emit_stream_records(pending, &applies);
-        total
+        self.finish_stream(replies, pending)
     }
 
     /// The multi-producer pipelined path: fan chunks out to `producers`
@@ -1659,10 +1483,9 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         let shards = self.shards.len();
         let track = self.sink.is_some();
         let started = self.started;
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::spawn(shards));
-        // Stage 0: a producers × shards matrix of SPSC rings. Producer p
-        // owns row p of senders; shard worker s receives column s and
-        // merges it in (producer, seq) round-robin order.
+        // A producers × shards matrix of SPSC rings. Producer p owns row
+        // p of senders; shard worker s receives column s and merges it in
+        // (producer, seq) round-robin order.
         let mut ring_txs: Vec<Vec<spsc::RingProducer<Batch>>> = Vec::with_capacity(producers);
         let mut ring_rxs: Vec<Vec<spsc::RingConsumer<Batch>>> =
             (0..shards).map(|_| Vec::with_capacity(producers)).collect();
@@ -1679,146 +1502,137 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         // each sender so drained buffers go home to the producer that
         // filled them (the recycle path is MPSC and cold — only the
         // batch rings are hot).
-        let mut recycle_txs = Vec::with_capacity(producers);
-        let mut recycle_rxs = Vec::with_capacity(producers);
-        for _ in 0..producers {
-            let (tx, rx) = channel::channel::<Vec<Op>>();
-            recycle_txs.push(tx);
-            recycle_rxs.push(rx);
-        }
-        for (id, slot) in self.shards.iter_mut().enumerate() {
-            let shard = slot.take().expect("shard present between batches");
-            let job = Job::Stream {
-                shard,
-                batches: std::mem::take(&mut ring_rxs[id]),
-                recycle: recycle_txs.clone(),
-                track,
-            };
-            if pool.jobs[id].send(job).is_err() {
-                panic!("shard worker {id} exited early");
-            }
-        }
+        let (recycle_txs, recycle_rxs): (Vec<_>, Vec<_>) =
+            (0..producers).map(|_| mpsc::channel::<Vec<Op>>()).unzip();
+        let streams = ring_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(id, rings)| (id, (rings, recycle_txs.clone())))
+            .collect();
         drop(recycle_txs);
         // Spare buffers feed the distribution stage here; producers warm
         // up their own batch buffers in a chunk or two, and everything
         // flows back to this pool at the end of the stream.
         let mut spare = std::mem::take(&mut self.spare_buffers);
-        // Distribution stage on the calling thread: slice the stream
-        // into chunks of batch_size × shards ops, handing chunk k to
-        // producer k % producers over a shallow bounded channel (depth 2
-        // keeps each producer one chunk ahead without unbounded
-        // buffering). Routed-out chunk buffers come back for reuse.
+        // Distribution stage on the calling thread, run while the workers
+        // drain: slice the stream into chunks of batch_size × shards ops,
+        // handing chunk k to producer k % producers over a shallow
+        // bounded channel (depth 2 keeps each producer one chunk ahead
+        // without unbounded buffering). Routed-out chunk buffers come
+        // back for reuse.
         let chunk_size = batch_size * shards;
-        let mut reports: Vec<ProducerReport> = Vec::with_capacity(producers);
-        std::thread::scope(|scope| {
-            let (chunk_back_tx, chunk_back_rx) = channel::channel::<Vec<Op>>();
-            let mut dist_txs = Vec::with_capacity(producers);
-            let mut handles = Vec::with_capacity(producers);
-            for (p, (rings, recycle_rx)) in ring_txs.into_iter().zip(recycle_rxs).enumerate() {
-                let (dist_tx, dist_rx) = channel::bounded::<(u64, Vec<Op>)>(2);
-                dist_txs.push(dist_tx);
-                let chunk_back = chunk_back_tx.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("ba-producer-{p}"))
-                        .spawn_scoped(scope, move || {
-                            producer_stage(
-                                p as u32, rings, recycle_rx, dist_rx, chunk_back, batch_size,
-                                started, track,
-                            )
-                        })
-                        .expect("spawn pipeline producer thread"),
-                );
-            }
-            drop(chunk_back_tx);
-            let mut grab_chunk = || {
-                let mut buf = chunk_back_rx
-                    .try_recv()
-                    .or_else(|| spare.pop())
-                    .unwrap_or_default();
-                buf.clear();
-                buf.reserve(chunk_size);
-                buf
-            };
-            let mut buf = grab_chunk();
-            let mut chunk: u64 = 0;
-            let mut alive = true;
-            for op in ops {
-                buf.push(op);
-                if buf.len() == chunk_size {
-                    let full = std::mem::take(&mut buf);
-                    if dist_txs[(chunk % producers as u64) as usize]
-                        .send((chunk, full))
-                        .is_err()
-                    {
-                        // The producer bailed (its worker died); stop
-                        // distributing and let the teardown below
-                        // surface the worker panic.
-                        alive = false;
-                        break;
+        let distribute = || {
+            std::thread::scope(|scope| {
+                let (chunk_back_tx, chunk_back_rx) = mpsc::channel::<Vec<Op>>();
+                let mut dist_txs = Vec::with_capacity(producers);
+                let mut handles = Vec::with_capacity(producers);
+                for (p, (rings, recycle_rx)) in ring_txs.into_iter().zip(recycle_rxs).enumerate() {
+                    let (dist_tx, dist_rx) = mpsc::sync_channel::<(u64, Vec<Op>)>(2);
+                    dist_txs.push(dist_tx);
+                    let chunk_back = chunk_back_tx.clone();
+                    handles.push(
+                        std::thread::Builder::new()
+                            .name(format!("ba-producer-{p}"))
+                            .spawn_scoped(scope, move || {
+                                producer_stage(
+                                    p as u32, rings, recycle_rx, dist_rx, chunk_back, batch_size,
+                                    started, track,
+                                )
+                            })
+                            .expect("spawn pipeline producer thread"),
+                    );
+                }
+                drop(chunk_back_tx);
+                let grab_chunk = |spare: &mut Vec<Vec<Op>>| {
+                    let mut buf = chunk_back_rx
+                        .try_recv()
+                        .ok()
+                        .or_else(|| spare.pop())
+                        .unwrap_or_default();
+                    buf.clear();
+                    buf.reserve(chunk_size);
+                    buf
+                };
+                let mut buf = grab_chunk(&mut spare);
+                let mut chunk: u64 = 0;
+                let mut alive = true;
+                for op in ops {
+                    buf.push(op);
+                    if buf.len() == chunk_size {
+                        let full = std::mem::take(&mut buf);
+                        if dist_txs[(chunk % producers as u64) as usize]
+                            .send((chunk, full))
+                            .is_err()
+                        {
+                            // The producer bailed (its worker died); stop
+                            // distributing and let the reply collection
+                            // surface the worker panic.
+                            alive = false;
+                            break;
+                        }
+                        chunk += 1;
+                        buf = grab_chunk(&mut spare);
                     }
-                    chunk += 1;
-                    buf = grab_chunk();
                 }
-            }
-            if alive && !buf.is_empty() {
-                let _ = dist_txs[(chunk % producers as u64) as usize].send((chunk, buf));
-            } else {
-                spare.push(buf);
-            }
-            // Disconnect distribution: each producer finishes its queued
-            // chunks, ships them, and drops its rings, which ends every
-            // worker's stream.
-            drop(dist_txs);
-            for handle in handles {
-                match handle.join() {
-                    Ok(report) => reports.push(report),
-                    Err(payload) => std::panic::resume_unwind(payload),
+                if alive && !buf.is_empty() {
+                    let _ = dist_txs[(chunk % producers as u64) as usize].send((chunk, buf));
+                } else {
+                    spare.push(buf);
                 }
-            }
-            // Reclaim distribution chunk buffers.
-            while let Some(chunk_buf) = chunk_back_rx.try_recv() {
-                spare.push(chunk_buf);
-            }
-        });
-        let mut total = BatchSummary::default();
-        let mut applies: Vec<Vec<Duration>> = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let done = pool.results[id]
-                .recv()
-                .unwrap_or_else(|_| panic!("shard worker {id} panicked"));
-            self.shards[id] = Some(done.shard);
-            total.absorb(&done.summary);
-            applies.push(done.applies);
-        }
-        // Fold the producer reports: reclaim their buffers, surface any
-        // worker death they observed, and gather the metric halves.
+                // Disconnect distribution: each producer finishes its
+                // queued chunks, ships them, and drops its rings, which
+                // ends every worker's stream.
+                drop(dist_txs);
+                let reports: Vec<ProducerReport> = handles
+                    .into_iter()
+                    .map(|handle| {
+                        handle
+                            .join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    })
+                    .collect();
+                // Reclaim distribution chunk buffers.
+                spare.extend(chunk_back_rx.try_iter());
+                reports
+            })
+        };
+        let (replies, reports) = self.on_shards(
+            WorkerMode::Persistent,
+            streams,
+            move |shard, (rings, recycle)| drain_stream(shard, &rings, &recycle, track),
+            distribute,
+        );
+        // Fold the producer reports: reclaim their buffers and gather the
+        // metric halves.
         let mut pending: Vec<PendingShip> = Vec::new();
-        let mut dead: Option<usize> = None;
         for report in reports {
-            while let Some(buf) = report.recycle.try_recv() {
-                spare.push(buf);
-            }
+            spare.extend(report.recycle.try_iter());
             spare.extend(report.spare);
-            dead = dead.or(report.dead_shard);
             pending.extend(report.pending);
         }
         self.spare_buffers = spare;
-        if let Some(id) = dead {
-            panic!("shard worker {id} panicked");
-        }
-        self.emit_stream_records(pending, &applies);
-        total
+        self.finish_stream(replies, pending)
     }
 
-    /// Joins producer-side ship records with worker-side apply latencies
-    /// — `(shard, chunk)` addresses the apply sample on both paths —
-    /// and emits the stream's records in ship-time order. Empty
+    /// Folds a drained stream's worker replies into its summary, then
+    /// joins producer-side ship records with worker-side apply latencies
+    /// — `(shard, chunk)` addresses the apply sample on both paths — and
+    /// emits the stream's records in ship-time order. Empty
     /// merge-alignment batches (multi-producer only) carry no traffic
     /// and emit no record.
-    fn emit_stream_records(&mut self, pending: Vec<PendingShip>, applies: &[Vec<Duration>]) {
+    fn finish_stream(
+        &mut self,
+        replies: Vec<(usize, (BatchSummary, Vec<Duration>))>,
+        pending: Vec<PendingShip>,
+    ) -> BatchSummary {
+        let mut total = BatchSummary::default();
+        let mut applies: Vec<Vec<Duration>> = vec![Vec::new(); self.shards.len()];
+        for (id, (summary, latencies)) in replies {
+            total.absorb(&summary);
+            applies[id] = latencies;
+        }
         let Some(mut sink) = self.sink.take() else {
-            return;
+            return total;
         };
         debug_assert_eq!(
             pending.len(),
@@ -1854,6 +1668,7 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             sink.record(&record);
         }
         self.sink = Some(sink);
+        total
     }
 
     /// Snapshot of per-shard and aggregate load/traffic statistics.
@@ -1932,17 +1747,10 @@ mod tests {
         let ops = mixed_ops(20_000);
         let mut seq = engine(8, WorkerMode::Sequential);
         let ss = seq.serve(&ops, 1_024);
-        for workers in [WorkerMode::Scoped, WorkerMode::Persistent] {
-            let mut par = engine(8, workers);
-            let sp = par.serve(&ops, 1_024);
-            assert_eq!(sp, ss, "{workers:?}");
-            for (a, b) in par.shards().iter().zip(seq.shards()) {
-                assert_eq!(
-                    a.allocation().loads(),
-                    b.allocation().loads(),
-                    "{workers:?}"
-                );
-            }
+        let mut par = engine(8, WorkerMode::Persistent);
+        assert_eq!(par.serve(&ops, 1_024), ss);
+        for (a, b) in par.shards().iter().zip(seq.shards()) {
+            assert_eq!(a.allocation().loads(), b.allocation().loads());
         }
     }
 
@@ -2283,17 +2091,26 @@ mod tests {
     }
 
     #[test]
-    fn sequential_batches_reuse_partition_scratch() {
+    fn batches_reuse_partition_scratch_in_every_worker_mode() {
         // The zero-allocation contract, observably: after the first
         // batch, partition buffers are reused (their capacity persists)
-        // rather than freshly allocated per batch.
-        let mut eng = engine(2, WorkerMode::Sequential);
-        eng.apply_batch(&(0..1_000u64).map(Op::Insert).collect::<Vec<_>>());
-        let caps: Vec<usize> = eng.scratch.iter().map(Vec::capacity).collect();
-        assert!(caps.iter().all(|&c| c > 0), "scratch never materialized");
-        eng.apply_batch(&(1_000..1_400u64).map(Op::Insert).collect::<Vec<_>>());
-        let caps_after: Vec<usize> = eng.scratch.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, caps_after, "smaller batch must not reallocate");
+        // rather than freshly allocated per batch — including under the
+        // pool, where each buffer must ride home with its shard's reply.
+        for workers in [WorkerMode::Sequential, WorkerMode::Persistent] {
+            let mut eng = engine(2, workers);
+            eng.apply_batch(&(0..1_000u64).map(Op::Insert).collect::<Vec<_>>());
+            let caps: Vec<usize> = eng.scratch.iter().map(Vec::capacity).collect();
+            assert!(
+                caps.iter().all(|&c| c > 0),
+                "{workers:?}: scratch never materialized"
+            );
+            eng.apply_batch(&(1_000..1_400u64).map(Op::Insert).collect::<Vec<_>>());
+            let caps_after: Vec<usize> = eng.scratch.iter().map(Vec::capacity).collect();
+            assert_eq!(
+                caps, caps_after,
+                "{workers:?}: smaller batch must not reallocate"
+            );
+        }
     }
 
     #[test]
@@ -2617,7 +2434,7 @@ mod tests {
         ops.reverse();
         for (shards, workers, producers) in [
             (1, WorkerMode::Sequential, 4),
-            (2, WorkerMode::Scoped, 1),
+            (2, WorkerMode::Persistent, 1),
             (4, WorkerMode::Persistent, 2),
             (8, WorkerMode::Persistent, 4),
         ] {

@@ -22,16 +22,16 @@
 //! * **Determinism** — shard `i` draws all randomness from
 //!   `SeedSequence::new(seed).child(i)`, and only inserts consume the
 //!   stream, so the final state is a pure function of `(config,
-//!   op stream)`: sequential, scoped, and persistent-worker application
-//!   agree bit-for-bit, and an insert-only shard reproduces
+//!   op stream)`: sequential and persistent-worker application agree
+//!   bit-for-bit, and an insert-only shard reproduces
 //!   `ba_core::run_process` (or `run_process_keys` in keyed mode) exactly.
 //! * **Persistent workers** — [`Engine::serve`] chunks an op stream into
 //!   batches; each batch is partitioned per shard (order-preserving,
-//!   into reusable scratch buffers — the hot path allocates nothing
-//!   after warm-up) and fanned out to one long-lived worker thread per
-//!   shard over in-repo MPSC channels ([`WorkerMode::Persistent`]),
-//!   avoiding a thread spawn per batch; workers join gracefully when the
-//!   engine drops.
+//!   into reusable scratch buffers that never reallocate after warm-up)
+//!   and each shard with work is shipped, by value, to its own
+//!   long-lived worker thread over a `std::sync::mpsc` queue
+//!   ([`WorkerMode::Persistent`]), avoiding a thread spawn per batch;
+//!   workers join gracefully when the engine drops.
 //! * **Pipelined ingestion** — [`Engine::serve_pipelined`] (or
 //!   [`IngestMode::Pipelined`] via [`EngineConfig::ingest`]) overlaps
 //!   production with application: the producer stage partitions the op
@@ -100,7 +100,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channel;
 pub mod cluster;
 mod engine;
 pub mod index;

@@ -1,11 +1,12 @@
 //! Single-producer/single-consumer ring buffers for the pipelined hot
 //! path.
 //!
-//! The engine's internal Mutex+Condvar channel is the right tool for
-//! the control plane (job dispatch, results, buffer recycling — a few
-//! messages per stream), but on the pipelined *data* path every shipped
-//! batch paid for a shared lock, a `VecDeque`, and a condvar signal.
-//! This module replaces that hot path with a bounded SPSC ring:
+//! The engine's control plane (shard dispatch, replies, buffer
+//! recycling — a few messages per stream) runs on `std::sync::mpsc`.
+//! The pipelined *data* path ships a batch per shard per chunk, needs a
+//! bounded queue whose producer can measure how long it was blocked, and
+//! has exactly one producer and one consumer per queue. This module
+//! gives it a bounded SPSC ring:
 //!
 //! * **Power-of-two capacity**, so slot indexing is a mask, not a
 //!   modulo, and the monotonically increasing head/tail counters wrap
@@ -40,7 +41,7 @@
 //! anyone can block on, and the ring's blocking behaviour lives
 //! entirely in the explicit edge parking.
 //!
-//! Disconnect semantics mirror the engine's internal channel, because its
+//! Disconnect semantics mirror `std::sync::mpsc`, because the engine's
 //! panic-propagation paths rely on them:
 //!
 //! * dropping the [`RingProducer`] wakes a blocked [`RingConsumer::recv`]
@@ -160,10 +161,8 @@ impl<T> RingProducer<T> {
 
     /// [`RingProducer::send`], reporting how long this call spent
     /// blocked on a full ring: `Duration::ZERO` when a slot was free
-    /// immediately, the measured wait otherwise — the same
-    /// backpressure-stall primitive the Mutex channel's `send_tracked`
-    /// provides, so the engine's stall telemetry is ingest-path
-    /// agnostic.
+    /// immediately, the measured wait otherwise. The engine's
+    /// backpressure-stall telemetry reads this.
     pub fn send_tracked(&self, value: T) -> Result<Duration, SendError<T>> {
         let s = &*self.shared;
         // Only this producer writes `tail`, so a relaxed self-read is

@@ -81,7 +81,7 @@ proptest! {
         let permuted = permute(&ops, rotation, reverse == 1);
         for (shards, workers, producers) in [
             (1, WorkerMode::Sequential, 4),
-            (2, WorkerMode::Scoped, 1),
+            (2, WorkerMode::Persistent, 1),
             (8, WorkerMode::Persistent, 4),
         ] {
             let mut engine = rounds_engine(shards, workers, producers);

@@ -117,30 +117,6 @@ fn persistent_engine_equals_sequential_engine_for_every_shard_count_and_scenario
 }
 
 #[test]
-fn scoped_spawn_baseline_still_matches_persistent_workers() {
-    // The pre-pool execution strategy is kept for benchmarking; it must
-    // stay on the same determinism contract.
-    let ops: Vec<Op> = (0..20_000u64)
-        .map(|i| match i % 4 {
-            0..=1 => Op::Insert(i / 2),
-            2 => Op::Lookup(i / 3),
-            _ => Op::Delete(i / 2),
-        })
-        .collect();
-    let mut scoped =
-        Engine::by_name("double", config(8, 512, 3, 3).workers(WorkerMode::Scoped)).unwrap();
-    let mut persistent = Engine::by_name(
-        "double",
-        config(8, 512, 3, 3).workers(WorkerMode::Persistent),
-    )
-    .unwrap();
-    assert_eq!(scoped.serve(&ops, 777), persistent.serve(&ops, 777));
-    for (a, b) in scoped.shards().iter().zip(persistent.shards()) {
-        assert_eq!(a.allocation().loads(), b.allocation().loads());
-    }
-}
-
-#[test]
 fn keyed_delete_reinsert_replays_probe_sequence_for_every_scheme() {
     // Satellite acceptance: in keyed mode, deleting and re-inserting a
     // key lands it via the same derived probe sequence — for every scheme

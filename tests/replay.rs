@@ -71,11 +71,7 @@ fn replayed_golden_captures_match_live_generation_bit_for_bit() {
     for scenario in Scenario::all() {
         let file = ReplayFile::open(golden_path(&scenario)).expect("golden file decodes");
         for mode in [ChoiceMode::Stream, ChoiceMode::Keyed] {
-            for workers in [
-                WorkerMode::Sequential,
-                WorkerMode::Scoped,
-                WorkerMode::Persistent,
-            ] {
+            for workers in [WorkerMode::Sequential, WorkerMode::Persistent] {
                 let config = || {
                     EngineConfig::new(4, 256, 3)
                         .seed(GOLDEN_SEED)

@@ -85,7 +85,7 @@ fn golden_corpus_through_rounds_is_order_worker_and_producer_invariant() {
 
         for (workers, producers) in [
             (WorkerMode::Sequential, 4),
-            (WorkerMode::Scoped, 1),
+            (WorkerMode::Persistent, 1),
             (WorkerMode::Persistent, 2),
             (WorkerMode::Persistent, 4),
         ] {
