@@ -4,7 +4,8 @@
 //! `std::collections::HashMap<u64, Vec<u64>>`. That pays twice per op on
 //! the hottest path in the engine: SipHash over an already-uniform `u64`
 //! key, and a heap-allocated `Vec` per key even though almost every key
-//! holds one or two balls (load factor ≈ 1 in every experiment here).
+//! holds one ball (in the keyed setting each item is one ball placed by
+//! its own probes).
 //!
 //! [`KeyIndex`] replaces both costs:
 //!
@@ -14,22 +15,29 @@
 //!   and is exactly right for keys that are already uniform `u64`s. The
 //!   seed keeps the table's probe order deterministic per shard while
 //!   still decorrelating it from the raw key values.
+//! * **Depth-1 keys live in their probe slot** — a slot is the pair
+//!   `(key, val)`. While a key holds one ball whose bin is below `2^63`,
+//!   `val` *is* that bin, and the key costs 16 bytes and no other
+//!   memory. Only deeper keys (or a bin at or above `2^63`, which cannot
+//!   be told apart from the tag) *spill*: `val` becomes `2^63 | arena
+//!   index` into a stack arena. A pop that leaves one such bin moves it
+//!   back into the slot and frees the arena position.
 //! * **Inline small-stacks** — up to [`INLINE_BINS`] bins live directly
-//!   in the key's arena entry; only deeper stacks spill to a heap
-//!   `Vec`, and a spilled stack shrinks back inline when deletes bring
-//!   it down again. Insert-then-delete churn at realistic depths never
+//!   in a spilled key's arena entry; only deeper stacks go to a heap
+//!   `Vec`, and a heap stack shrinks back inline when deletes bring it
+//!   down again. Insert-then-delete churn at realistic depths never
 //!   allocates.
 //!
 //! The table is open-addressed with linear probing and backward-shift
-//! deletion (no tombstones), growing at 5/8 occupancy. Storage is a
-//! dense probe array of 16-byte slots (four per cache line — a probe
-//! run usually stays inside one line) pointing into a stable stack
-//! *arena*, reached exactly once per operation. Growth rebuilds only
-//! the slots; stacks never move. Enumeration order
-//! of a hash table is an implementation detail, so the deterministic
-//! surface the engine exposes ([`Shard::live_key_ids`](crate::Shard::live_key_ids),
-//! cluster drains, placement maps) always goes through [`KeyIndex::sorted_keys`],
-//! which sorts ascending exactly like the `HashMap` predecessor did.
+//! deletion (no tombstones), growing at 5/8 occupancy. The probe array
+//! holds 16-byte slots (four per cache line — a probe run usually stays
+//! inside one line); a spilled key reaches the arena exactly once per
+//! operation. Growth rebuilds only the slots; stacks never move.
+//! Enumeration order of a hash table is an implementation detail, so the
+//! deterministic surface the engine exposes
+//! ([`Shard::live_key_ids`](crate::Shard::live_key_ids), cluster drains,
+//! placement maps) always goes through [`KeyIndex::sorted_keys`], which
+//! sorts ascending exactly like the `HashMap` predecessor did.
 
 use ba_rng::SplitMix64;
 
@@ -40,8 +48,8 @@ use ba_rng::SplitMix64;
 /// ~11% of keys ever touch the heap.
 pub const INLINE_BINS: usize = 6;
 
-/// A key's LIFO stack of bins: inline up to [`INLINE_BINS`] deep, heap
-/// beyond that, shrinking back inline when it fits again.
+/// A spilled key's LIFO stack of bins: inline up to [`INLINE_BINS`]
+/// deep, heap beyond that, shrinking back inline when it fits again.
 ///
 /// Sized and aligned to exactly one 64-byte cache line so an arena
 /// access is always a single line fill — unaligned 40-byte entries
@@ -50,21 +58,23 @@ pub const INLINE_BINS: usize = 6;
 #[derive(Debug, Clone)]
 #[repr(align(64))]
 enum Stack {
-    /// `len` live bins stored in-slot (`len >= 1`; empty stacks are
-    /// removed from the table, never stored).
+    /// `len` live bins stored in-entry.
     Inline { len: u8, bins: [u64; INLINE_BINS] },
     /// The deep case: more than [`INLINE_BINS`] live bins.
-    Spilled(Vec<u64>),
+    Heap(Vec<u64>),
 }
 
 /// The arena layout contract: one entry, one cache line.
 const _: () = assert!(std::mem::size_of::<Stack>() == 64);
 
 impl Stack {
-    fn one(bin: u64) -> Self {
+    fn inline(first: &[u64]) -> Self {
         let mut bins = [0; INLINE_BINS];
-        bins[0] = bin;
-        Stack::Inline { len: 1, bins }
+        bins[..first.len()].copy_from_slice(first);
+        Stack::Inline {
+            len: first.len() as u8,
+            bins,
+        }
     }
 
     fn push(&mut self, bin: u64) {
@@ -75,35 +85,29 @@ impl Stack {
                     bins[n] = bin;
                     *len += 1;
                 } else {
-                    let mut spilled = Vec::with_capacity(INLINE_BINS * 2);
-                    spilled.extend_from_slice(&bins[..n]);
-                    spilled.push(bin);
-                    *self = Stack::Spilled(spilled);
+                    let mut heap = Vec::with_capacity(INLINE_BINS * 2);
+                    heap.extend_from_slice(&bins[..n]);
+                    heap.push(bin);
+                    *self = Stack::Heap(heap);
                 }
             }
-            Stack::Spilled(bins) => bins.push(bin),
+            Stack::Heap(bins) => bins.push(bin),
         }
     }
 
-    /// Pops the most recent bin. Returns `(bin, now_empty)`; the caller
-    /// removes the entry when the stack empties.
-    fn pop(&mut self) -> (u64, bool) {
+    /// Pops the most recent bin of a non-empty stack.
+    fn pop(&mut self) -> u64 {
         match self {
             Stack::Inline { len, bins } => {
                 *len -= 1;
-                (bins[*len as usize], *len == 0)
+                bins[*len as usize]
             }
-            Stack::Spilled(heap) => {
-                let bin = heap.pop().expect("spilled stacks hold > INLINE_BINS bins");
+            Stack::Heap(heap) => {
+                let bin = heap.pop().expect("heap stacks hold > INLINE_BINS bins");
                 if heap.len() <= INLINE_BINS {
-                    let mut bins = [0u64; INLINE_BINS];
-                    bins[..heap.len()].copy_from_slice(heap);
-                    *self = Stack::Inline {
-                        len: heap.len() as u8,
-                        bins,
-                    };
+                    *self = Stack::inline(heap);
                 }
-                (bin, false)
+                bin
             }
         }
     }
@@ -111,58 +115,71 @@ impl Stack {
     fn as_slice(&self) -> &[u64] {
         match self {
             Stack::Inline { len, bins } => &bins[..*len as usize],
-            Stack::Spilled(bins) => bins,
+            Stack::Heap(bins) => bins,
         }
     }
 }
 
-impl Default for Stack {
-    /// Placeholder for unoccupied slots in the parallel stack array;
-    /// never observed through the public API.
-    fn default() -> Self {
-        Stack::Inline {
-            len: 0,
-            bins: [0; INLINE_BINS],
-        }
-    }
-}
+/// Set in a slot's `val` when the key's bins live in the arena; the
+/// low bits are then the arena index.
+const SPILL: u64 = 1 << 63;
 
-/// One probe-array slot: the key, its live flag, and the index of its
-/// stack in the arena — 16 bytes, so a cache line covers four slots and
-/// a probe run usually stays inside one line.
-#[derive(Debug, Clone, Copy, Default)]
+/// A slot `val` marking an unoccupied slot. `SPILL | index` never
+/// reaches it: the arena would need `2^63 - 1` entries.
+const EMPTY: u64 = u64::MAX;
+
+/// One probe-array slot: 16 bytes, so a cache line covers four slots
+/// and a probe run usually stays inside one line.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     key: u64,
-    /// Arena index of this key's stack (meaningful only while live).
-    /// `u32` keeps the slot at 16 bytes; four billion simultaneously
-    /// live keys per shard is far beyond any configuration here.
-    stack: u32,
-    live: bool,
+    /// [`EMPTY`], the key's only bin (`< 2^63`), or `SPILL | arena index`.
+    val: u64,
+}
+
+/// The probe-array layout contract: four slots per cache line.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+impl Slot {
+    const EMPTY: Slot = Slot { key: 0, val: EMPTY };
+
+    #[inline]
+    fn is_live(self) -> bool {
+        self.val != EMPTY
+    }
+
+    /// The arena index of a live slot's stack, or `None` while the key
+    /// holds its one bin in the slot.
+    #[inline]
+    fn arena(self) -> Option<usize> {
+        (self.val >= SPILL).then_some((self.val & !SPILL) as usize)
+    }
 }
 
 /// An open-addressed `u64 → bin-stack` map tuned for the shard hot path:
 /// multiply-mix hashing, linear probing with backward-shift deletion,
-/// and inline storage for stacks up to [`INLINE_BINS`] deep. See the
-/// [module docs](self) for why it replaces `HashMap<u64, Vec<u64>>`.
+/// depth-1 keys stored in their slot, and inline arena storage for
+/// deeper stacks up to [`INLINE_BINS`]. See the [module docs](self) for
+/// why it replaces `HashMap<u64, Vec<u64>>`.
 ///
-/// Storage is a dense probe array of 16-byte slots plus a stack *arena* the
-/// slots point into. Growth rebuilds only the 16-byte slots under the
-/// new mask; the wide stacks never move (their arena positions are
-/// stable for a key's whole life, and freed positions recycle through a
-/// free list), so rehashing costs bytes proportional to the probe
-/// array, not to the stacks.
+/// Storage is a dense probe array of 16-byte `(key, val)` slots plus a
+/// stack *arena* that only spilled keys point into. Growth rebuilds only
+/// the slots under the new mask; the wide stacks never move (a key keeps
+/// its arena position while it stays spilled, and freed positions
+/// recycle through a free list), so rehashing costs bytes proportional
+/// to the probe array, not to the stacks.
 #[derive(Debug, Clone)]
 pub struct KeyIndex {
     /// Mixed into every hash; makes probe order deterministic per owner
     /// (shards pass their salt) without being a function of raw keys.
     seed: u64,
-    /// Power-of-two probe array; a dead slot terminates probe runs.
+    /// Power-of-two probe array; an empty slot terminates probe runs.
     slots: Vec<Slot>,
-    /// Stack arena; live slots point into it, free positions are listed
-    /// in `free`.
+    /// Stack arena; spilled slots point into it, free positions are
+    /// listed in `free`.
     stacks: Vec<Stack>,
-    /// Arena positions whose keys were removed, ready for reuse.
-    free: Vec<u32>,
+    /// Arena positions no slot points at, ready for reuse.
+    free: Vec<usize>,
     /// `slots.len() - 1`, cached for masking (0 while unallocated).
     mask: usize,
     /// Live keys (occupied slots).
@@ -212,7 +229,7 @@ impl KeyIndex {
         let mut i = self.home(key);
         loop {
             let slot = self.slots[i];
-            if !slot.live {
+            if !slot.is_live() {
                 return None;
             }
             if slot.key == key {
@@ -222,19 +239,14 @@ impl KeyIndex {
         }
     }
 
-    /// Inserts `(key, arena index)` into a table guaranteed to have a
-    /// free slot.
+    /// Inserts `(key, val)` into a table guaranteed to have a free slot.
     #[inline]
-    fn insert_entry(&mut self, key: u64, stack: u32) {
+    fn insert_entry(&mut self, key: u64, val: u64) {
         let mut i = self.home(key);
-        while self.slots[i].live {
+        while self.slots[i].is_live() {
             i = (i + 1) & self.mask;
         }
-        self.slots[i] = Slot {
-            key,
-            stack,
-            live: true,
-        };
+        self.slots[i] = Slot { key, val };
         self.len += 1;
     }
 
@@ -247,21 +259,41 @@ impl KeyIndex {
         } else {
             self.slots.len() * 2
         };
-        let old_slots = std::mem::replace(&mut self.slots, vec![Slot::default(); capacity]);
+        let old_slots = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; capacity]);
         self.mask = capacity - 1;
         self.len = 0;
         for slot in old_slots {
-            if slot.live {
-                self.insert_entry(slot.key, slot.stack);
+            if slot.is_live() {
+                self.insert_entry(slot.key, slot.val);
             }
         }
+    }
+
+    /// Moves `bins` into a recycled or new arena entry and returns the
+    /// slot `val` that points at it.
+    fn spill(&mut self, bins: &[u64]) -> u64 {
+        let stack = Stack::inline(bins);
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.stacks[idx] = stack;
+                idx
+            }
+            None => {
+                self.stacks.push(stack);
+                self.stacks.len() - 1
+            }
+        };
+        SPILL | idx as u64
     }
 
     /// Pushes `bin` onto `key`'s stack (creating the key if new).
     pub fn push(&mut self, key: u64, bin: u64) {
         if let Some(i) = self.find(key) {
-            let idx = self.slots[i].stack as usize;
-            self.stacks[idx].push(bin);
+            let slot = self.slots[i];
+            match slot.arena() {
+                Some(idx) => self.stacks[idx].push(bin),
+                None => self.slots[i].val = self.spill(&[slot.val, bin]),
+            }
             return;
         }
         // Grow at 5/8 occupancy: plain (non-SIMD) linear probing
@@ -272,32 +304,30 @@ impl KeyIndex {
         if (self.len + 1) * 8 > self.slots.len() * 5 {
             self.grow();
         }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.stacks[idx as usize] = Stack::one(bin);
-                idx
-            }
-            None => {
-                self.stacks.push(Stack::one(bin));
-                (self.stacks.len() - 1) as u32
-            }
-        };
-        self.insert_entry(key, idx);
+        let val = if bin < SPILL { bin } else { self.spill(&[bin]) };
+        self.insert_entry(key, val);
     }
 
     /// Pops the most recent bin for `key`; removes the key when its last
     /// ball goes. Returns `None` for a key with no live balls.
     pub fn pop(&mut self, key: u64) -> Option<u64> {
         let i = self.find(key)?;
-        let idx = self.slots[i].stack;
-        let (bin, now_empty) = self.stacks[idx as usize].pop();
-        if now_empty {
-            // An emptied stack is already inline (spills shrink back
-            // before emptying), so recycling the position needs no
-            // cleanup — `Stack::one` overwrites it on reuse.
-            self.free.push(idx);
+        let slot = self.slots[i];
+        let Some(idx) = slot.arena() else {
             self.remove_at(i);
+            return Some(slot.val);
+        };
+        let bin = self.stacks[idx].pop();
+        // A spilled stack that emptied, or that is down to one bin the
+        // slot can hold, gives its arena position back. It is inline by
+        // now (heap stacks shrink back first), so recycling it needs no
+        // cleanup — `spill` overwrites it on reuse.
+        match *self.stacks[idx].as_slice() {
+            [] => self.remove_at(i),
+            [last] if last < SPILL => self.slots[i].val = last,
+            _ => return Some(bin),
         }
+        self.free.push(idx);
         Some(bin)
     }
 
@@ -305,13 +335,13 @@ impl KeyIndex {
     /// the probe run that follows so lookups never need tombstones.
     /// Only the 16-byte slots move; arena positions are stable.
     fn remove_at(&mut self, mut hole: usize) {
-        self.slots[hole].live = false;
+        self.slots[hole] = Slot::EMPTY;
         self.len -= 1;
         let mut i = hole;
         loop {
             i = (i + 1) & self.mask;
             let slot = self.slots[i];
-            if !slot.live {
+            if !slot.is_live() {
                 return;
             }
             let home = self.home(slot.key);
@@ -322,7 +352,7 @@ impl KeyIndex {
             let hole_distance = i.wrapping_sub(hole) & self.mask;
             if entry_distance >= hole_distance {
                 self.slots[hole] = slot;
-                self.slots[i].live = false;
+                self.slots[i] = Slot::EMPTY;
                 hole = i;
             }
         }
@@ -330,8 +360,11 @@ impl KeyIndex {
 
     /// The bins currently holding balls for `key`, oldest first.
     pub fn get(&self, key: u64) -> Option<&[u64]> {
-        self.find(key)
-            .map(|i| self.stacks[self.slots[i].stack as usize].as_slice())
+        let slot = &self.slots[self.find(key)?];
+        Some(match slot.arena() {
+            Some(idx) => self.stacks[idx].as_slice(),
+            None => std::slice::from_ref(&slot.val),
+        })
     }
 
     /// Number of live balls for `key` (0 when absent).
@@ -347,11 +380,75 @@ impl KeyIndex {
         let mut keys: Vec<u64> = self
             .slots
             .iter()
-            .filter(|slot| slot.live)
+            .filter(|slot| slot.is_live())
             .map(|slot| slot.key)
             .collect();
         keys.sort_unstable();
         keys
+    }
+
+    /// Checks the index's internal invariants, naming the first one that
+    /// fails:
+    ///
+    /// * the live slots number `len`, and each is reachable from its
+    ///   home slot (so lookups find it);
+    /// * the arena positions in use (`stacks.len() - free.len()`) number
+    ///   the spilled slots;
+    /// * free-list positions are in range and distinct, and no live slot
+    ///   points at one (nor do two live slots share one);
+    /// * every spilled stack holds two or more bins, or one bin
+    ///   `>= 2^63` that its slot could not hold.
+    ///
+    /// O(slots + arena); meant for tests and audits, not the hot path.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut live = 0;
+        let mut claimed = vec![false; self.stacks.len()];
+        for &idx in &self.free {
+            match claimed.get_mut(idx) {
+                None => return Err(format!("free position {idx} is past the arena")),
+                Some(true) => return Err(format!("free position {idx} is listed twice")),
+                Some(seen) => *seen = true,
+            }
+        }
+        let mut spilled = 0;
+        for (i, &slot) in self.slots.iter().enumerate() {
+            if !slot.is_live() {
+                continue;
+            }
+            live += 1;
+            if self.find(slot.key) != Some(i) {
+                return Err(format!("key {} in slot {i} is unreachable", slot.key));
+            }
+            let Some(idx) = slot.arena() else { continue };
+            spilled += 1;
+            match claimed.get_mut(idx) {
+                None => return Err(format!("key {} points past the arena at {idx}", slot.key)),
+                Some(true) => {
+                    return Err(format!(
+                        "key {} points at arena position {idx}, which is free or shared",
+                        slot.key
+                    ))
+                }
+                Some(seen) => *seen = true,
+            }
+            let bins = self.stacks[idx].as_slice();
+            if bins.len() < 2 && bins.iter().all(|&bin| bin < SPILL) {
+                return Err(format!(
+                    "key {} is spilled but holds {bins:?}, which its slot could hold",
+                    slot.key
+                ));
+            }
+        }
+        if live != self.len {
+            return Err(format!("{live} live slots but len is {}", self.len));
+        }
+        let in_use = self.stacks.len() - self.free.len();
+        if in_use != spilled {
+            return Err(format!(
+                "{in_use} arena positions in use but {spilled} spilled slots"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -390,6 +487,71 @@ mod tests {
         assert_eq!(idx.pop(9), Some(1));
         assert_eq!(idx.pop(9), Some(0));
         assert_eq!(idx.len(), 0);
+    }
+
+    #[test]
+    fn depth_one_keys_never_touch_the_arena() {
+        let mut idx = KeyIndex::with_seed(5);
+        for key in 0..5000u64 {
+            idx.push(key, key % 1024);
+        }
+        assert_eq!(idx.len(), 5000);
+        assert!(
+            idx.stacks.is_empty(),
+            "depth-1 keys must stay in their slots"
+        );
+        for key in 0..5000u64 {
+            assert_eq!(idx.get(key), Some(&[key % 1024][..]));
+        }
+        idx.audit().unwrap();
+    }
+
+    #[test]
+    fn high_bins_spill_and_return_through_every_depth() {
+        let mut idx = KeyIndex::with_seed(13);
+        let low = SPILL - 1;
+        for (key, bin) in [(1u64, low), (2, SPILL), (3, u64::MAX)] {
+            idx.push(key, bin);
+            assert_eq!(idx.get(key), Some(&[bin][..]));
+            idx.audit().unwrap();
+            idx.push(key, 7);
+            assert_eq!(idx.get(key), Some(&[bin, 7][..]));
+            idx.audit().unwrap();
+            assert_eq!(idx.pop(key), Some(7));
+            assert_eq!(idx.get(key), Some(&[bin][..]));
+            idx.audit().unwrap();
+            assert_eq!(idx.pop(key), Some(bin));
+            assert_eq!(idx.get(key), None);
+            assert_eq!(idx.pop(key), None);
+            idx.audit().unwrap();
+        }
+        // A high bin pushed second must come back out of the arena too.
+        idx.push(4, 9);
+        idx.push(4, u64::MAX);
+        assert_eq!(idx.get(4), Some(&[9, u64::MAX][..]));
+        assert_eq!(idx.pop(4), Some(u64::MAX));
+        assert_eq!(idx.get(4), Some(&[9][..]));
+        idx.audit().unwrap();
+        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.stacks.len(), idx.free.len(), "no arena position leaks");
+    }
+
+    #[test]
+    fn audit_names_broken_invariants() {
+        let mut idx = KeyIndex::with_seed(2);
+        idx.push(1, 10);
+        idx.push(1, 11);
+        idx.push(2, 20);
+        idx.audit().unwrap();
+        let mut bad = idx.clone();
+        bad.len += 1;
+        assert!(bad.audit().unwrap_err().contains("len"));
+        let mut bad = idx.clone();
+        bad.free.push(0);
+        assert!(bad.audit().is_err(), "a live key's position listed free");
+        let mut bad = idx.clone();
+        bad.stacks[0].pop();
+        assert!(bad.audit().unwrap_err().contains("slot could hold"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: [`KeyIndex`] is observationally equivalent to the
-//! `HashMap<u64, Vec<u64>>` it replaced on the shard hot path.
+//! `HashMap<u64, Vec<u64>>` it replaced on the shard hot path, and its
+//! internal invariants ([`KeyIndex::audit`]) hold after every case.
 
 use ba_engine::KeyIndex;
 use proptest::prelude::*;
@@ -57,6 +58,7 @@ proptest! {
             }
             prop_assert_eq!(idx.len(), model.map.len());
             prop_assert_eq!(idx.is_empty(), model.map.is_empty());
+            prop_assert_eq!(idx.audit(), Ok(()));
         }
         prop_assert_eq!(idx.sorted_keys(), model.sorted_keys());
         for (&key, stack) in &model.map {
@@ -70,6 +72,7 @@ proptest! {
             prop_assert_eq!(idx.depth(key), 0);
             prop_assert_eq!(idx.pop(key), None);
         }
+        prop_assert_eq!(idx.audit(), Ok(()));
     }
 
     /// Draining a grown index key by key exercises backward-shift
@@ -87,6 +90,7 @@ proptest! {
             *expect.entry(key).or_insert(0) += 1;
         }
         prop_assert_eq!(idx.len(), expect.len());
+        prop_assert_eq!(idx.audit(), Ok(()));
         let mut order = idx.sorted_keys();
         // Drain high-to-low so deletion order differs from insertion order.
         order.reverse();
@@ -95,6 +99,7 @@ proptest! {
                 prop_assert_eq!(idx.pop(key), Some(key ^ 1));
             }
             prop_assert_eq!(idx.pop(key), None);
+            prop_assert_eq!(idx.audit(), Ok(()));
         }
         prop_assert!(idx.is_empty());
     }

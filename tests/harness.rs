@@ -89,12 +89,14 @@ fn experiment_output_varies_with_seed() {
 #[test]
 fn all_fast_experiments_render_tables() {
     // Skip the big-n sweeps (table3/4/5 go to 2^18+, table8 simulates
-    // thousands of seconds) and `pipeline` (a half-million-op timing
-    // sweep that also writes BENCH_pipeline.json into the working
-    // directory — covered at small scale by its own unit test);
-    // everything else must run at tiny scale.
+    // thousands of seconds) and `pipeline` / `hotpath` (timing sweeps
+    // that write BENCH_pipeline.json / BENCH_hotpath.json into the
+    // working directory, overwriting the committed CI baselines with
+    // debug-build rates — each is covered at small scale by its own
+    // unit test writing to a temp path); everything else must run at
+    // tiny scale.
     let skip = [
-        "table3", "table4", "table5", "table6", "table7", "table8", "pipeline",
+        "table3", "table4", "table5", "table6", "table7", "table8", "pipeline", "hotpath",
     ];
     for (name, f) in EXPERIMENTS {
         if skip.contains(name) {
