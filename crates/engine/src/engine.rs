@@ -294,15 +294,7 @@ impl EngineConfig {
             producers,
         } = self.ingest
         {
-            if queue_depth == 0 {
-                return Err(ConfigError::ZeroQueueDepth);
-            }
-            if !queue_depth.is_power_of_two() {
-                return Err(ConfigError::QueueDepthNotPowerOfTwo(queue_depth));
-            }
-            if producers == 0 {
-                return Err(ConfigError::ZeroProducers);
-            }
+            check_pipeline(queue_depth, producers)?;
         }
         if let IngestMode::Rounds { producers } = self.ingest {
             if producers == 0 {
@@ -311,6 +303,21 @@ impl EngineConfig {
         }
         Ok(())
     }
+}
+
+/// Checks the pipelined-ingestion arguments: the one check behind both
+/// [`EngineConfig::validate`] and [`Engine::serve_pipelined_producers`].
+fn check_pipeline(queue_depth: usize, producers: usize) -> Result<(), ConfigError> {
+    if queue_depth == 0 {
+        return Err(ConfigError::ZeroQueueDepth);
+    }
+    if !queue_depth.is_power_of_two() {
+        return Err(ConfigError::QueueDepthNotPowerOfTwo(queue_depth));
+    }
+    if producers == 0 {
+        return Err(ConfigError::ZeroProducers);
+    }
+    Ok(())
 }
 
 /// Routes a key to a shard: SplitMix64 finalizer, then a multiply-shift
@@ -323,11 +330,9 @@ pub fn route(key: u64, shards: usize) -> usize {
 }
 
 /// One shipped unit on the pipelined hot path: the ops a producer routed
-/// to one shard from one stream chunk, stamped with the sequence number
-/// the worker's deterministic merge orders by. With a single producer,
-/// `seq` is the per-shard ship index; with N producers it is the global
-/// chunk index (chunk `k` is routed by producer `k % N`, so the worker's
-/// round-robin receive replays chunks in stream order).
+/// to one shard from one stream chunk, stamped with that chunk's index.
+/// Chunk `k` is routed by producer `k % N`, so the worker's round-robin
+/// receive replays chunks in stream order.
 struct Batch {
     seq: u64,
     ops: Vec<Op>,
@@ -412,7 +417,6 @@ fn drain_stream<S: ChoiceScheme>(
     // ops in stream order. A disconnect at the ring whose turn it is
     // proves no later chunk exists anywhere — producers ship their
     // chunks in order before exiting — so the whole stream has drained.
-    // With one producer, `seq` is the per-shard ship index instead.
     let mut chunk = 0usize;
     loop {
         let p = chunk % batches.len();
@@ -516,10 +520,9 @@ fn op_mix(ops: &[Op]) -> (u32, u32, u32) {
 
 /// Producer-side half of a pipelined batch measurement: everything known
 /// at ship time, joined with the worker-side apply latency at stream end.
-/// `(shard, chunk)` addresses the matching apply sample — `chunk` is the
-/// per-shard ship index under a single producer and the global chunk
-/// index under N producers; either way it equals the worker's receive
-/// index for that shard.
+/// `(shard, chunk)` addresses the matching apply sample: every chunk
+/// ships one batch per shard, so the chunk index equals the worker's
+/// receive index for that shard.
 struct PendingShip {
     at: Duration,
     shard: usize,
@@ -535,96 +538,95 @@ struct PendingShip {
     occupancy: u32,
 }
 
-/// What one producer thread hands back after its slice of the stream is
-/// routed and shipped: its ship-side metric halves, its recycle receiver
-/// (drained into the engine's spare pool after the workers finish), and
-/// its leftover buffers.
-struct ProducerReport {
-    pending: Vec<PendingShip>,
-    recycle: mpsc::Receiver<Vec<Op>>,
-    spare: Vec<Vec<Op>>,
-}
-
-/// Grabs a cleared op buffer: recycled from a worker if one is waiting,
-/// a retained spare otherwise, a fresh allocation only during warm-up.
-fn grab_buffer(
-    spare: &mut Vec<Vec<Op>>,
-    recycle: &mpsc::Receiver<Vec<Op>>,
-    batch_size: usize,
-) -> Vec<Op> {
-    let mut buf = recycle
-        .try_recv()
-        .ok()
-        .or_else(|| spare.pop())
-        .unwrap_or_default();
+/// Grabs a cleared op buffer with room for `capacity` ops: the
+/// `recycled` one if a worker handed one back, a retained spare
+/// otherwise, a fresh allocation only during warm-up.
+fn grab_buffer(recycled: Option<Vec<Op>>, spare: &mut Vec<Vec<Op>>, capacity: usize) -> Vec<Op> {
+    let mut buf = recycled.or_else(|| spare.pop()).unwrap_or_default();
     buf.clear();
-    buf.reserve(batch_size);
+    buf.reserve(capacity);
     buf
 }
 
-/// The routing stage one producer thread runs under
-/// [`Engine::serve_pipelined_producers`] with `producers > 1`: receive
-/// `(chunk_index, ops)` chunks from the calling thread, route each chunk
-/// into per-shard buffers, and ship one [`Batch`] per shard per chunk —
-/// empty ones included, so every worker's (producer, seq) round-robin
-/// merge stays aligned with the chunk index.
-#[allow(clippy::too_many_arguments)]
-fn producer_stage(
+/// Cuts `ops` into chunks of `chunk_size` ops, collected in `buf`, and
+/// hands chunk `k` to `ship(k, buf)`, which must leave `buf` empty. The
+/// last chunk may be short; an empty stream ships nothing. Stops early
+/// when `ship` returns `false`.
+fn feed_chunks(
+    ops: impl IntoIterator<Item = Op>,
+    buf: &mut Vec<Op>,
+    chunk_size: usize,
+    mut ship: impl FnMut(u64, &mut Vec<Op>) -> bool,
+) {
+    let mut chunk = 0u64;
+    for op in ops {
+        buf.push(op);
+        if buf.len() == chunk_size {
+            if !ship(chunk, buf) {
+                return;
+            }
+            chunk += 1;
+        }
+    }
+    if !buf.is_empty() {
+        ship(chunk, buf);
+    }
+}
+
+/// One producer's routing stage under
+/// [`Engine::serve_pipelined_producers`]: routes each stream chunk it is
+/// given into per-shard buffers and ships one [`Batch`] per shard per
+/// chunk — empty ones included, so every worker's round-robin merge
+/// stays aligned with the chunk index. The calling thread drives the only
+/// router inline when there is one producer; with N, producer thread `p`
+/// drives router `p` over chunks `k ≡ p (mod N)`.
+struct Router {
     producer: u32,
     rings: Vec<spsc::RingProducer<Batch>>,
     recycle: mpsc::Receiver<Vec<Op>>,
-    chunks: mpsc::Receiver<(u64, Vec<Op>)>,
-    chunks_back: mpsc::Sender<Vec<Op>>,
+    filling: Vec<Vec<Op>>,
+    spare: Vec<Vec<Op>>,
+    pending: Vec<PendingShip>,
     batch_size: usize,
     started: Instant,
     track: bool,
-) -> ProducerReport {
-    let shards = rings.len();
-    let mut pending = Vec::new();
-    let mut spare: Vec<Vec<Op>> = Vec::new();
-    let mut filling: Vec<Vec<Op>> = (0..shards)
-        .map(|_| grab_buffer(&mut spare, &recycle, batch_size))
-        .collect();
-    'stream: while let Ok((chunk, mut buf)) = chunks.recv() {
-        let route_t0 = track.then(Instant::now);
-        let chunk_ops = buf.len();
-        for &op in &buf {
-            filling[route(op.key(), shards)].push(op);
+}
+
+impl Router {
+    /// Routes chunk `chunk` of the stream (never empty, see
+    /// [`feed_chunks`]) and ships its per-shard batches. Returns `false`
+    /// once a shard's worker has died: the caller stops routing, and the
+    /// engine's reply collection names the dead shard.
+    fn route(&mut self, chunk: u64, ops: &[Op]) -> bool {
+        let shards = self.rings.len();
+        let route_t0 = self.track.then(Instant::now);
+        for &op in ops {
+            self.filling[route(op.key(), shards)].push(op);
         }
         // Routing cost for the whole chunk; attributed to shipped
         // batches below, proportionally to their share of the chunk.
         let routed_chunk = route_t0.map(|t| t.elapsed()).unwrap_or_default();
-        buf.clear();
-        let _ = chunks_back.send(buf);
-        for (s, ring) in rings.iter().enumerate() {
-            let full = std::mem::replace(
-                &mut filling[s],
-                grab_buffer(&mut spare, &recycle, batch_size),
-            );
+        for (s, ring) in self.rings.iter().enumerate() {
+            let recycled = self.recycle.try_recv().ok();
+            let next = grab_buffer(recycled, &mut self.spare, self.batch_size);
+            let full = std::mem::replace(&mut self.filling[s], next);
             let batch_ops = full.len();
-            let mix = track.then(|| op_mix(&full));
+            let mix = self.track.then(|| op_mix(&full));
             let Ok(stalled) = ring.send_tracked(Batch {
                 seq: chunk,
                 ops: full,
             }) else {
-                // The shard's worker died. Stop routing: dropping this
-                // producer's chunk receiver stops the distribution stage,
-                // and the engine's reply collection names the dead shard.
-                break 'stream;
+                return false;
             };
             let Some((inserts, deletes, lookups)) = mix else {
                 continue;
             };
-            let routed = if chunk_ops > 0 {
-                routed_chunk.mul_f64(batch_ops as f64 / chunk_ops as f64)
-            } else {
-                Duration::ZERO
-            };
-            pending.push(PendingShip {
-                at: started.elapsed(),
+            let routed = routed_chunk.mul_f64(batch_ops as f64 / ops.len() as f64);
+            self.pending.push(PendingShip {
+                at: self.started.elapsed(),
                 shard: s,
                 chunk,
-                producer,
+                producer: self.producer,
                 routed,
                 ops: batch_ops as u32,
                 inserts,
@@ -635,17 +637,15 @@ fn producer_stage(
                 occupancy: ring.queued() as u32,
             });
         }
+        true
     }
-    // Chunk distribution disconnected: the stream is over. Every chunk
-    // shipped in full, so the filling buffers are all empty — keep their
-    // capacity. (After a dead worker they may not be, but then the engine
-    // panics before it reuses any.) Dropping `rings` (by returning)
-    // disconnects the workers.
-    spare.extend(filling);
-    ProducerReport {
-        pending,
-        recycle,
-        spare,
+
+    /// Ends this producer's share of the stream: dropping its rings
+    /// disconnects the workers from it. What is left — ship records,
+    /// recycle receiver, buffers — goes back to the engine.
+    fn finish(mut self) -> Self {
+        self.rings.clear();
+        self
     }
 }
 
@@ -1269,13 +1269,14 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     }
 
     /// Serves an op stream with production and application overlapped:
-    /// the calling thread acts as the producer stage — routing each op
-    /// into a per-shard buffer and shipping full buffers into that
-    /// shard's bounded SPSC ring (see [`crate::spsc`]) — while every
-    /// persistent worker applies previously shipped batches
-    /// concurrently. A ring at `queue_depth` blocks the producer until
-    /// its worker catches up (backpressure), so memory stays bounded by
-    /// `shards × (queue_depth + 2) × batch_size` ops regardless of
+    /// the calling thread acts as the producer stage — cutting the stream
+    /// into chunks of `batch_size × shards` ops, routing each chunk into
+    /// per-shard batches and shipping every batch into that shard's
+    /// bounded SPSC ring (see [`crate::spsc`]) — while every persistent
+    /// worker applies previously shipped batches concurrently. A ring at
+    /// `queue_depth` blocks the producer until its worker catches up
+    /// (backpressure), so memory stays bounded by about
+    /// `(queue_depth + 2) × batch_size × shards` ops regardless of
     /// stream length.
     ///
     /// Each shard still applies exactly its routed subsequence in arrival
@@ -1287,25 +1288,26 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
     /// application instead of alternating with it.
     ///
     /// `batch_size` here is the *per-shard* batch granularity: each
-    /// worker receives batches of up to `batch_size` ops. (The config-
-    /// driven entry points [`Engine::serve`]/[`Engine::serve_replay`]
-    /// pass `batch_size / shards` so their `batch_size` argument keeps
-    /// one meaning across ingest modes.) Drained batch buffers recycle
-    /// back to the producer — and persist on the engine across calls —
-    /// so steady-state ingestion performs no allocation. This path
-    /// always uses the persistent worker pool (spawning it on first
-    /// use) regardless of [`EngineConfig::workers`], which only governs
-    /// phased [`Engine::apply_batch`] application.
+    /// worker receives one batch per chunk, `batch_size` ops on average.
+    /// (The config-driven entry points
+    /// [`Engine::serve`]/[`Engine::serve_replay`] pass
+    /// `batch_size / shards` so their `batch_size` argument keeps one
+    /// meaning across ingest modes.) Drained batch buffers recycle back
+    /// to the producer — and persist on the engine across calls — so
+    /// steady-state ingestion performs no allocation. This path always
+    /// uses the persistent worker pool (spawning it on first use)
+    /// regardless of [`EngineConfig::workers`], which only governs phased
+    /// [`Engine::apply_batch`] application.
     ///
     /// Equivalent to [`Engine::serve_pipelined_producers`] with a single
-    /// producer (no fan-out stage; routing stays on the calling thread).
+    /// producer.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size` is zero, if `queue_depth` is zero or not a
     /// power of two (the ring's granularity), or if a shard worker
-    /// panics mid-stream (the worker's panic is surfaced, never a
-    /// deadlock).
+    /// panics mid-stream (surfaced as `shard worker {id} panicked`, never
+    /// a deadlock).
     pub fn serve_pipelined(
         &mut self,
         ops: impl IntoIterator<Item = Op>,
@@ -1315,24 +1317,25 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         self.serve_pipelined_producers(ops, batch_size, queue_depth, 1)
     }
 
-    /// [`Engine::serve_pipelined`] with `producers` routing threads
+    /// [`Engine::serve_pipelined`] with `producers` routing stages
     /// between the calling thread and the shard workers.
     ///
-    /// With `producers == 1` this is exactly [`Engine::serve_pipelined`]:
-    /// the calling thread routes and ships. With `N > 1` the calling
-    /// thread slices the stream into chunks of
-    /// `batch_size × shards` ops handed round-robin to N producer
-    /// threads (chunk `k` to producer `k % N`); each producer routes its
-    /// chunks into per-shard batches and ships them — stamped with the
-    /// chunk index as the sequence number — into its own SPSC ring per
-    /// shard. Every shard worker merges its N rings in deterministic
-    /// (producer, seq) round-robin order, which replays that shard's
-    /// routed subsequence exactly in stream order: placements, stats
+    /// The stream is cut into chunks of `batch_size × shards` ops, and
+    /// chunk `k` is routed by producer `k % producers`, which ships one
+    /// batch per shard — empty ones included — stamped with the chunk
+    /// index into its own SPSC ring per shard. Every shard worker merges
+    /// its rings in round-robin order, which replays that shard's routed
+    /// subsequence exactly in stream order: placements, stats
     /// percentiles, and summaries are bit-identical to sequential
     /// serving regardless of producer count or thread timing.
     ///
-    /// Memory stays bounded: `producers × shards × queue_depth` ring
-    /// slots plus two distribution chunks per producer.
+    /// With one producer the calling thread routes inline, so the stream
+    /// costs no thread beyond the shard workers. With `N > 1` the calling
+    /// thread only cuts chunks and hands them to N scoped producer
+    /// threads over shallow bounded channels.
+    ///
+    /// Memory stays bounded by about `(queue_depth + 2) × batch_size ×
+    /// shards` ops per producer.
     ///
     /// # Panics
     ///
@@ -1345,141 +1348,9 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
         producers: usize,
     ) -> BatchSummary {
         assert!(batch_size > 0, "batch size must be positive");
-        assert!(queue_depth > 0, "queue depth must be positive");
-        assert!(
-            queue_depth.is_power_of_two(),
-            "queue depth must be a power of two (SPSC ring granularity), got {queue_depth}"
-        );
-        assert!(producers >= 1, "need at least one producer");
-        if producers == 1 {
-            self.pipeline_single(ops, batch_size, queue_depth)
-        } else {
-            self.pipeline_fanned(ops, batch_size, queue_depth, producers)
+        if let Err(err) = check_pipeline(queue_depth, producers) {
+            panic!("serve_pipelined_producers: {err}");
         }
-    }
-
-    /// The single-producer pipelined path: route and ship on the calling
-    /// thread. See [`Engine::serve_pipelined`].
-    fn pipeline_single(
-        &mut self,
-        ops: impl IntoIterator<Item = Op>,
-        batch_size: usize,
-        queue_depth: usize,
-    ) -> BatchSummary {
-        let shards = self.shards.len();
-        let track = self.sink.is_some();
-        let started = self.started;
-        // Every shard gets a fresh SPSC batch ring and a recycle channel
-        // for drained buffers.
-        let mut batches = Vec::with_capacity(shards);
-        let mut recycled = Vec::with_capacity(shards);
-        let mut streams = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let (batch_tx, batch_rx) = spsc::ring::<Batch>(queue_depth);
-            let (recycle_tx, recycle_rx) = mpsc::channel();
-            batches.push(batch_tx);
-            recycled.push(recycle_rx);
-            streams.push((id, (vec![batch_rx], vec![recycle_tx])));
-        }
-        let mut spare = std::mem::take(&mut self.spare_buffers);
-        // The producer stage, run on this thread while the workers drain.
-        let produce = || {
-            // Producer-side measurement: one PendingShip per shipped
-            // batch, joined with its worker-side apply latency after the
-            // drain.
-            let mut pending: Vec<PendingShip> = Vec::new();
-            let mut shipped = vec![0u64; shards];
-            let mut ship = |id: usize, full: Vec<Op>| {
-                let seq = shipped[id];
-                shipped[id] += 1;
-                let mix = track.then(|| op_mix(&full));
-                let ops = full.len() as u32;
-                let Ok(stalled) = batches[id].send_tracked(Batch { seq, ops: full }) else {
-                    panic!("shard worker {id} panicked");
-                };
-                let Some((inserts, deletes, lookups)) = mix else {
-                    return;
-                };
-                pending.push(PendingShip {
-                    at: started.elapsed(),
-                    shard: id,
-                    chunk: seq,
-                    producer: 0,
-                    // Routing is interleaved op-by-op with stream pull on
-                    // this path, not a separable stage; reported as zero
-                    // rather than a made-up split.
-                    routed: Duration::ZERO,
-                    ops,
-                    inserts,
-                    deletes,
-                    lookups,
-                    stalls: u32::from(stalled > Duration::ZERO),
-                    stalled,
-                    occupancy: batches[id].queued() as u32,
-                });
-            };
-            // Route ops into per-shard filling buffers; a full buffer
-            // ships into the bounded ring (blocking only when the worker
-            // is queue_depth batches behind) and is replaced by a
-            // recycled buffer the worker already drained, a spare from a
-            // previous call, or — only while the pipeline warms up — a
-            // fresh allocation. Past warm-up this loop allocates nothing,
-            // across calls included.
-            let grab = |spare: &mut Vec<Vec<Op>>| {
-                spare
-                    .pop()
-                    .map(|mut buf| {
-                        buf.reserve(batch_size);
-                        buf
-                    })
-                    .unwrap_or_else(|| Vec::with_capacity(batch_size))
-            };
-            let mut filling: Vec<Vec<Op>> = (0..shards).map(|_| grab(&mut spare)).collect();
-            for op in ops {
-                let id = route(op.key(), shards);
-                filling[id].push(op);
-                if filling[id].len() == batch_size {
-                    ship(id, std::mem::take(&mut filling[id]));
-                    filling[id] = recycled[id].try_recv().unwrap_or_else(|_| grab(&mut spare));
-                }
-            }
-            for (id, buf) in filling.into_iter().enumerate() {
-                if buf.is_empty() {
-                    spare.push(buf); // keep the capacity for the next call
-                } else {
-                    ship(id, buf);
-                }
-            }
-            // Disconnect the batch rings: each worker drains what is
-            // queued, then replies with its shard and stream summary.
-            drop(batches);
-            pending
-        };
-        let (replies, pending) = self.on_shards(
-            WorkerMode::Persistent,
-            streams,
-            move |shard, (rings, recycle)| drain_stream(shard, &rings, &recycle, track),
-            produce,
-        );
-        // Reclaim every buffer the workers drained after the producer
-        // stopped picking them up; the next serve_pipelined call starts
-        // from this pool instead of the allocator.
-        for rx in &recycled {
-            spare.extend(rx.try_iter());
-        }
-        self.spare_buffers = spare;
-        self.finish_stream(replies, pending)
-    }
-
-    /// The multi-producer pipelined path: fan chunks out to `producers`
-    /// routing threads. See [`Engine::serve_pipelined_producers`].
-    fn pipeline_fanned(
-        &mut self,
-        ops: impl IntoIterator<Item = Op>,
-        batch_size: usize,
-        queue_depth: usize,
-        producers: usize,
-    ) -> BatchSummary {
         let shards = self.shards.len();
         let track = self.sink.is_some();
         let started = self.started;
@@ -1510,80 +1381,89 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
             .map(|(id, rings)| (id, (rings, recycle_txs.clone())))
             .collect();
         drop(recycle_txs);
-        // Spare buffers feed the distribution stage here; producers warm
-        // up their own batch buffers in a chunk or two, and everything
-        // flows back to this pool at the end of the stream.
-        let mut spare = std::mem::take(&mut self.spare_buffers);
-        // Distribution stage on the calling thread, run while the workers
-        // drain: slice the stream into chunks of batch_size × shards ops,
-        // handing chunk k to producer k % producers over a shallow
-        // bounded channel (depth 2 keeps each producer one chunk ahead
-        // without unbounded buffering). Routed-out chunk buffers come
-        // back for reuse.
+        // Buffers kept from earlier calls: the chunk buffer first, then
+        // each router's working set — per shard, one filling buffer, up
+        // to `queue_depth` queued batches and one being applied. What is
+        // left feeds the distribution stage.
         let chunk_size = batch_size * shards;
-        let distribute = || {
+        let mut spare = std::mem::take(&mut self.spare_buffers);
+        let mut buf = grab_buffer(None, &mut spare, chunk_size);
+        let mut routers: Vec<Router> = ring_txs
+            .into_iter()
+            .zip(recycle_rxs)
+            .enumerate()
+            .map(|(p, (rings, recycle))| {
+                let mut own =
+                    spare.split_off(spare.len().saturating_sub(shards * (queue_depth + 2)));
+                Router {
+                    producer: p as u32,
+                    rings,
+                    recycle,
+                    filling: (0..shards)
+                        .map(|_| grab_buffer(None, &mut own, batch_size))
+                        .collect(),
+                    spare: own,
+                    pending: Vec::new(),
+                    batch_size,
+                    started,
+                    track,
+                }
+            })
+            .collect();
+        // The producer stage, run on this thread while the workers drain.
+        let produce = || {
+            if producers == 1 {
+                let mut router = routers.pop().expect("one router per producer");
+                feed_chunks(ops, &mut buf, chunk_size, |chunk, buf| {
+                    let alive = router.route(chunk, buf);
+                    buf.clear();
+                    alive
+                });
+                return vec![router.finish()];
+            }
+            // Hand chunk k to producer thread k % producers over a
+            // shallow bounded channel (depth 2 keeps each producer one
+            // chunk ahead without unbounded buffering). Routed-out chunk
+            // buffers come back for reuse.
             std::thread::scope(|scope| {
                 let (chunk_back_tx, chunk_back_rx) = mpsc::channel::<Vec<Op>>();
-                let mut dist_txs = Vec::with_capacity(producers);
-                let mut handles = Vec::with_capacity(producers);
-                for (p, (rings, recycle_rx)) in ring_txs.into_iter().zip(recycle_rxs).enumerate() {
-                    let (dist_tx, dist_rx) = mpsc::sync_channel::<(u64, Vec<Op>)>(2);
-                    dist_txs.push(dist_tx);
-                    let chunk_back = chunk_back_tx.clone();
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("ba-producer-{p}"))
+                let (dist_txs, handles): (Vec<_>, Vec<_>) = routers
+                    .into_iter()
+                    .map(|mut router| {
+                        let (dist_tx, dist_rx) = mpsc::sync_channel::<(u64, Vec<Op>)>(2);
+                        let chunk_back = chunk_back_tx.clone();
+                        let handle = std::thread::Builder::new()
+                            .name(format!("ba-producer-{}", router.producer))
                             .spawn_scoped(scope, move || {
-                                producer_stage(
-                                    p as u32, rings, recycle_rx, dist_rx, chunk_back, batch_size,
-                                    started, track,
-                                )
+                                while let Ok((chunk, mut buf)) = dist_rx.recv() {
+                                    let alive = router.route(chunk, &buf);
+                                    buf.clear();
+                                    let _ = chunk_back.send(buf);
+                                    if !alive {
+                                        break;
+                                    }
+                                }
+                                router.finish()
                             })
-                            .expect("spawn pipeline producer thread"),
-                    );
-                }
+                            .expect("spawn pipeline producer thread");
+                        (dist_tx, handle)
+                    })
+                    .unzip();
                 drop(chunk_back_tx);
-                let grab_chunk = |spare: &mut Vec<Vec<Op>>| {
-                    let mut buf = chunk_back_rx
-                        .try_recv()
-                        .ok()
-                        .or_else(|| spare.pop())
-                        .unwrap_or_default();
-                    buf.clear();
-                    buf.reserve(chunk_size);
-                    buf
-                };
-                let mut buf = grab_chunk(&mut spare);
-                let mut chunk: u64 = 0;
-                let mut alive = true;
-                for op in ops {
-                    buf.push(op);
-                    if buf.len() == chunk_size {
-                        let full = std::mem::take(&mut buf);
-                        if dist_txs[(chunk % producers as u64) as usize]
-                            .send((chunk, full))
-                            .is_err()
-                        {
-                            // The producer bailed (its worker died); stop
-                            // distributing and let the reply collection
-                            // surface the worker panic.
-                            alive = false;
-                            break;
-                        }
-                        chunk += 1;
-                        buf = grab_chunk(&mut spare);
-                    }
-                }
-                if alive && !buf.is_empty() {
-                    let _ = dist_txs[(chunk % producers as u64) as usize].send((chunk, buf));
-                } else {
-                    spare.push(buf);
-                }
+                feed_chunks(ops, &mut buf, chunk_size, |chunk, buf| {
+                    let back = chunk_back_rx.try_recv().ok();
+                    let full = std::mem::replace(buf, grab_buffer(back, &mut spare, chunk_size));
+                    // A send error means the producer stopped routing
+                    // (its worker died); stop distributing.
+                    dist_txs[chunk as usize % producers]
+                        .send((chunk, full))
+                        .is_ok()
+                });
                 // Disconnect distribution: each producer finishes its
                 // queued chunks, ships them, and drops its rings, which
                 // ends every worker's stream.
                 drop(dist_txs);
-                let reports: Vec<ProducerReport> = handles
+                let routers: Vec<Router> = handles
                     .into_iter()
                     .map(|handle| {
                         handle
@@ -1591,35 +1471,37 @@ impl<S: ChoiceScheme + 'static> Engine<S> {
                             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                     })
                     .collect();
-                // Reclaim distribution chunk buffers.
                 spare.extend(chunk_back_rx.try_iter());
-                reports
+                routers
             })
         };
-        let (replies, reports) = self.on_shards(
+        let (replies, routers) = self.on_shards(
             WorkerMode::Persistent,
             streams,
             move |shard, (rings, recycle)| drain_stream(shard, &rings, &recycle, track),
-            distribute,
+            produce,
         );
-        // Fold the producer reports: reclaim their buffers and gather the
-        // metric halves.
+        // Reclaim every buffer for the next call and gather the metric
+        // halves; the chunk buffer goes last so the next call pops it.
         let mut pending: Vec<PendingShip> = Vec::new();
-        for report in reports {
-            spare.extend(report.recycle.try_iter());
-            spare.extend(report.spare);
-            pending.extend(report.pending);
+        for router in routers {
+            spare.extend(router.recycle.try_iter());
+            // Every chunk shipped in full, so the filling buffers are
+            // empty (after a dead worker `on_shards` panicked above).
+            spare.extend(router.filling);
+            spare.extend(router.spare);
+            pending.extend(router.pending);
         }
+        spare.push(buf);
         self.spare_buffers = spare;
         self.finish_stream(replies, pending)
     }
 
     /// Folds a drained stream's worker replies into its summary, then
     /// joins producer-side ship records with worker-side apply latencies
-    /// — `(shard, chunk)` addresses the apply sample on both paths — and
-    /// emits the stream's records in ship-time order. Empty
-    /// merge-alignment batches (multi-producer only) carry no traffic
-    /// and emit no record.
+    /// — `(shard, chunk)` addresses the apply sample — and emits the
+    /// stream's records in ship-time order. Empty merge-alignment batches
+    /// carry no traffic and emit no record.
     fn finish_stream(
         &mut self,
         replies: Vec<(usize, (BatchSummary, Vec<Duration>))>,
@@ -1882,7 +1764,9 @@ mod tests {
             let mut eng = Engine::with_scheme_factory(cfg, |_| Exploding { n: 64, poison: 42 });
             eng.serve_pipelined((0..4_096u64).map(Op::Insert), 8, 1);
         });
-        assert!(result.is_err(), "pipelined worker panic was swallowed");
+        let payload = result.expect_err("pipelined worker panic was swallowed");
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("shard worker"), "{msg:?}");
     }
 
     #[test]
@@ -2047,8 +1931,8 @@ mod tests {
 
     #[test]
     fn multi_producer_worker_panic_propagates_instead_of_deadlocking() {
-        // A shard panicking mid-stream must surface as a panic in the
-        // fanned path too — producers bail via ring disconnect, the
+        // A shard panicking mid-stream must surface as the same panic
+        // with N producers — producers bail via ring disconnect, the
         // distribution stage stops, and the dead worker is reported —
         // never a deadlock.
         let result = std::panic::catch_unwind(|| {
@@ -2056,7 +1940,9 @@ mod tests {
             let mut eng = Engine::with_scheme_factory(cfg, |_| Exploding { n: 64, poison: 42 });
             eng.serve_pipelined_producers((0..4_096u64).map(Op::Insert), 8, 1, 3);
         });
-        assert!(result.is_err(), "fanned worker panic was swallowed");
+        let payload = result.expect_err("fanned worker panic was swallowed");
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("shard worker"), "{msg:?}");
     }
 
     #[test]

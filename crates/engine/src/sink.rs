@@ -47,10 +47,10 @@ pub struct MetricRecord {
     pub at: Duration,
     /// Which shard applied the batch (`None`: engine-wide phased batch).
     pub shard: Option<usize>,
-    /// Which producer routed and shipped the batch. 0 covers phased
-    /// batches and the single-producer pipelined path (routing on the
-    /// calling thread); under multi-producer pipelined serving this is
-    /// the producer thread's index.
+    /// Which producer routed and shipped the batch: `k % N` for stream
+    /// chunk `k` under pipelined serving with N producers (0 with one
+    /// producer, which routes on the calling thread); 0 for phased
+    /// batches.
     pub producer: u32,
     /// Ops in the batch.
     pub ops: u32,
@@ -63,11 +63,10 @@ pub struct MetricRecord {
     /// Time the shard(s) spent applying the batch.
     pub apply: Duration,
     /// Producer time spent routing this batch's ops into their per-shard
-    /// buffer. Measured only where routing is a separable stage — the
-    /// multi-producer pipelined path, attributed to each shipped batch
-    /// proportionally to its share of the routed chunk; zero under
-    /// phased ingestion and single-producer pipelining (there routing
-    /// interleaves with stream generation op by op).
+    /// buffer. Pipelined serving routes whole stream chunks at every
+    /// producer count and attributes each chunk's routing time to its
+    /// shipped batches in proportion to their share of the chunk; zero
+    /// under phased ingestion.
     pub routed: Duration,
     /// Bounded-queue occupancy sampled right after this batch shipped
     /// (pipelined only; 0 under phased ingestion).
@@ -164,8 +163,8 @@ pub struct WindowSummary {
     pub stalls: u64,
     /// Total time spent stalled on full queues.
     pub stalled: Duration,
-    /// Total producer routing time (multi-producer pipelined batches;
-    /// see [`MetricRecord::routed`]).
+    /// Total producer routing time (pipelined batches; see
+    /// [`MetricRecord::routed`]).
     pub routed: Duration,
     /// Per-batch apply latency in microseconds (log2 bins: relative
     /// error ≤ one octave).

@@ -423,6 +423,55 @@ fn ample_queue_depth_records_zero_stalls() {
 }
 
 #[test]
+fn pipelined_stream_routed_to_one_shard_matches_sequential() {
+    // Skew at its limit: every key routes to shard 0, so each chunk ships
+    // one batch to shard 0 and empty alignment batches to the other
+    // three, at every producer count. The empty batches must change no
+    // result and emit no record, and each chunk's one record must join
+    // its own apply sample.
+    let keys: Vec<u64> = (0u64..).filter(|&k| route(k, 4) == 0).take(3_000).collect();
+    let ops: Vec<Op> = keys
+        .iter()
+        .map(|&k| Op::Insert(k))
+        .chain(keys.iter().step_by(3).map(|&k| Op::Delete(k)))
+        .chain(keys.iter().step_by(5).map(|&k| Op::Lookup(k)))
+        .collect();
+    let mut sequential =
+        Engine::by_name("double", config(4, 256, 3, 7).keyed().sequential()).unwrap();
+    let expected = sequential.serve(&ops, 256);
+    let batch = 64;
+    for producers in [1usize, 3] {
+        let mut engine = Engine::by_name("double", config(4, 256, 3, 7).keyed()).unwrap();
+        let sink = SharedSink::new();
+        engine.set_sink(Box::new(sink.clone()));
+        let summary = engine.serve_pipelined_producers(ops.iter().copied(), batch, 1, producers);
+        engine.take_sink();
+        assert_eq!(summary, expected, "producers {producers}");
+        assert!(
+            engine.stats().matches(&sequential.stats()),
+            "producers {producers}"
+        );
+        let records = sink.records();
+        assert!(
+            records.iter().all(|r| r.shard == Some(0) && r.ops > 0),
+            "producers {producers}: an empty alignment batch emitted a record"
+        );
+        assert_eq!(
+            records.iter().map(|r| u64::from(r.ops)).sum::<u64>(),
+            ops.len() as u64,
+            "producers {producers}"
+        );
+        // One record per chunk: the (shard, chunk) join paired every
+        // shipped batch with exactly one apply sample.
+        assert_eq!(
+            records.len(),
+            ops.len().div_ceil(batch * 4),
+            "producers {producers}"
+        );
+    }
+}
+
+#[test]
 #[should_panic(expected = "EngineConfig::pipelined(3)")]
 fn workload_path_rejects_non_power_of_two_queue_depth_at_construction() {
     // Fail-fast satellite: a queue depth that is not a power of two dies
